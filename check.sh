@@ -48,6 +48,23 @@ sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_dag_smoke.s > /tmp/pagc_dag_smoke.masked
 cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_dag_smoke.masked
 dune exec bin/pagc.exe -- --dag --machines 3 --schedule steal \
   --explain root.code examples/primes.pas >/dev/null 2>&1
+# Static-schedule sharing (subtree memo + wire interning) must emit the
+# same masked assembly as the sequential compile too.
+dune exec bin/pagc.exe -- --dag --machines 3 \
+  examples/primes.pas -o /tmp/pagc_dag_static_smoke.s 2>/dev/null
+sed 's/[LP][0-9][0-9]*/X/g' /tmp/pagc_dag_static_smoke.s > /tmp/pagc_dag_static_smoke.masked
+cmp /tmp/pagc_seq_smoke.masked /tmp/pagc_dag_static_smoke.masked
+# A DAG-sharing service on real domains: tenants intern concurrently, and
+# every resident must still match a from-scratch compile.
+dune exec bin/pagc.exe -- --serve examples/three_tenants.serve --dag \
+  --transport domains >/dev/null
+# --dag is the only sharing switch: the retired flags are usage errors.
+for flag in --hashcons --no-hashcons --no-dag; do
+  if dune exec bin/pagc.exe -- "$flag" examples/primes.pas >/dev/null 2>&1; then
+    echo "check.sh: pagc accepted retired flag $flag" >&2
+    exit 1
+  fi
+done
 # Provenance smoke: --explain exits nonzero unless the recorded slice
 # equals the reference engine's dependency closure; --profile-json must
 # produce parseable JSON with a critical path no longer than the makespan.
@@ -60,5 +77,10 @@ if command -v python3 >/dev/null 2>&1; then
   python3 -c "import json,sys; p=json.load(open('$profile')); sys.exit(0 if 0 < p['critical_s'] <= p['makespan_s'] else 1)"
 else
   grep -q '"critical_s"' "$profile"
+fi
+# Benchmark smoke: every workload prints every declared metric and reports
+# a correct run (the benchmark drives Runner, Session and Static_eval).
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/smoke.py
 fi
 echo "check.sh: all green"

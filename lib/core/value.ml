@@ -195,7 +195,8 @@ and compute_hash v =
       | Pair (a, b) -> mix 0x99 (mix (compute_hash a) (compute_hash b))
       | Tab t ->
           mix 0x66
-            (Symtab.hash (Lazy.force value_interner) ~intern_value:intern t)
+            (Symtab.hash (Lazy.force value_interner)
+               ~intern_value:intern_unlocked t)
       | Ext e -> mix 0x77 (ext_hash e))
 
 and shallow_equal a b =
@@ -215,8 +216,9 @@ and shallow_equal a b =
    membership test keeps re-interning of canonical values (and of values
    whose children are canonical) from re-walking shared substructure —
    hash-consed evaluation builds DAG-shaped values, and recursing into
-   them as trees is exponential in the sharing depth. *)
-and intern v =
+   them as trees is exponential in the sharing depth. The caller holds
+   [lock]. *)
+and intern_unlocked v =
   if Phys.mem hash_memo v then v
   else
     match Phys_cache.find_opt canon_memo v with
@@ -229,14 +231,15 @@ and intern v =
             let r' = Rope.intern r in
             if r' == r then v else Str r'
         | List l ->
-            let l' = List.map intern l in
+            let l' = List.map intern_unlocked l in
             if List.for_all2 ( == ) l l' then v else List l'
         | Pair (a, b) ->
-            let a' = intern a and b' = intern b in
+            let a' = intern_unlocked a and b' = intern_unlocked b in
             if a' == a && b' == b then v else Pair (a', b')
         | Tab t ->
             let t' =
-              Symtab.intern (Lazy.force value_interner) ~intern_value:intern t
+              Symtab.intern (Lazy.force value_interner)
+                ~intern_value:intern_unlocked t
             in
             if t' == t then v else Tab t'
       in
@@ -246,7 +249,16 @@ and intern v =
       remember v canon;
       canon
 
-let hash v = compute_hash (intern v)
+(* The arenas (values, ropes, symbol tables) and their identity caches are
+   process-wide, unsynchronized tables, and several domains intern at once:
+   per-machine subtree memos, the DAG runtime's inherited gates, the wire
+   intern librarian. One lock serializes the public entry points; the
+   recursive worker above runs under it and never takes it. *)
+let lock = Mutex.create ()
+
+let intern v = Mutex.protect lock (fun () -> intern_unlocked v)
+
+let hash v = Mutex.protect lock (fun () -> compute_hash (intern_unlocked v))
 
 let backref_bytes = 8
 
@@ -255,6 +267,7 @@ let backref_bytes = 8
    once (at their [byte_size] framing), repeats cost a fixed backreference
    when that is cheaper. A sharing-free value costs exactly [byte_size]. *)
 let dag_byte_size v =
+  Mutex.protect lock @@ fun () ->
   let seen : unit Phys.t = Phys.create 64 in
   let rec go v =
     if Phys.mem seen v then backref_bytes
@@ -275,4 +288,4 @@ let dag_byte_size v =
       if s > backref_bytes then Phys.replace seen v ();
       s
   in
-  go (intern v)
+  go (intern_unlocked v)

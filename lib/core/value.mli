@@ -86,7 +86,8 @@ val of_rope : Pag_util.Rope.t -> t
     physically equal. Canonical values support O(1) equality ([==]) and
     O(1) {!hash} — the keys of the evaluators' subtree memo tables and of
     the intern librarian's wire cache. Interning never changes what
-    {!equal} observes. *)
+    {!equal} observes. {!intern}, {!hash} and {!dag_byte_size} are
+    domain-safe: one process-wide lock serializes them. *)
 
 val intern : t -> t
 

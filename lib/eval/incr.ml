@@ -66,7 +66,6 @@ type wave_stats = {
 type session = {
   s_g : Grammar.t;
   s_obs : Obs.ctx;
-  s_memo : Memo.rules option;
   s_prov : Prov.t;
   s_frontier : float;
   s_cursor : int ref;
@@ -148,9 +147,7 @@ let build s =
     else None
   in
   let eng =
-    Engine.create ?memo:s.s_memo
-      ?rules_for:(Option.map Dag.rules_for dplan)
-      s.s_g store
+    Engine.create ?rules_for:(Option.map Dag.rules_for dplan) s.s_g store
   in
   (* The compacting rebuild renumbers slots: stale records would resolve
      against the wrong instances. Clear the ring — the from-scratch
@@ -172,18 +169,13 @@ let build s =
   s.s_live_slots <- Store.slot_count store;
   s.s_changed <- Array.make (max 1 (Store.slot_count store)) 0
 
-let start ?(obs = Obs.null_ctx) ?memo ?(hashcons = false) ?(dag = false)
-    ?(prov = Prov.disabled) ?(frontier = 0.6) g tree =
-  let memo =
-    match memo with
-    | Some _ as m -> m
-    | None -> if hashcons then Some (Memo.create_rules ()) else None
-  in
+let start ?(obs = Obs.null_ctx) ?(dag = false) ?(prov = Prov.disabled)
+    ?(frontier = 0.6) g tree =
   let cursor = ref 0 in
   let store = Store.create g tree in
   let dplan = if dag then Some (Dag.plan g store (Tree.dag tree)) else None in
   let eng =
-    Engine.create ?memo ?rules_for:(Option.map Dag.rules_for dplan) g store
+    Engine.create ?rules_for:(Option.map Dag.rules_for dplan) g store
   in
   (if Prov.enabled prov then
      let clock = if Obs.ctx_enabled obs then obs.Obs.x_clock else Sys.time in
@@ -197,7 +189,6 @@ let start ?(obs = Obs.null_ctx) ?memo ?(hashcons = false) ?(dag = false)
   {
     s_g = g;
     s_obs = obs;
-    s_memo = memo;
     s_prov = prov;
     s_frontier = frontier;
     s_cursor = cursor;

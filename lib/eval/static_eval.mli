@@ -25,7 +25,9 @@ type stats = {
     once per inherited fingerprint and replayed at its other occurrences
     ([eval.memo_hits]/[eval.memo_misses] count the outcomes). Semantics are
     unchanged — mismatching contexts, fragment boundaries and
-    label-consuming subtrees all fall back to ordinary evaluation.
+    label-consuming subtrees all fall back to ordinary evaluation. This is
+    the static evaluator's side of the one sharing switch: [--dag] /
+    [Driver.compile ~dag:true] maps to it.
 
     [prov] attaches a provenance ring to the run's engine: every firing is
     recorded (memoized replays as synthetic [replay] records), timed by

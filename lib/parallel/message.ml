@@ -51,7 +51,10 @@ let rec size = function
       + Value.dag_byte_size a.value
       + iid_bytes
   | Attr_ref a -> header_bytes + String.length a.attr + (2 * iid_bytes)
-  | Code_frag_bind c -> header_bytes + Rope.dag_size c.text + iid_bytes
+  (* sized through the value arena, whose lock also covers the rope arena
+     that [Rope.dag_size] walks: binds are sized on every machine's domain *)
+  | Code_frag_bind c ->
+      header_bytes + Value.dag_byte_size (Value.Str c.text) + iid_bytes
   | Code_frag_ref _ -> header_bytes + (2 * iid_bytes)
   | Need_intern _ -> header_bytes + iid_bytes
   | Backfill b -> header_bytes + Value.dag_byte_size b.value + iid_bytes

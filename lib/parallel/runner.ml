@@ -9,7 +9,6 @@ type options = {
   granularity : float;
   use_priority : bool;
   use_librarian : bool;
-  use_hashcons : bool;
   use_dag : bool;
   cost : Cost.t;
   net_params : Ethernet.params;
@@ -29,7 +28,6 @@ let default_options =
     granularity = 1.0;
     use_priority = true;
     use_librarian = true;
-    use_hashcons = false;
     use_dag = false;
     cost = Cost.default;
     net_params = Ethernet.default_params;
@@ -314,13 +312,8 @@ let sim_env sim id =
 let run_sim_static opts g plan tree =
   let split, nodes_by_id = prepare opts g tree in
   (* Sharing classes are computed once on the numbered tree; the immutable
-     arrays are read concurrently by every machine's memo. On the static
-     schedule [--dag] collapses on the same unit as [--hashcons] — the
-     subtree memo keyed on these classes — so both flags route here. *)
-  let sharing =
-    if opts.use_hashcons || opts.use_dag then Some (Tree.sharing tree)
-    else None
-  in
+     arrays are read concurrently by every machine's subtree memo. *)
+  let sharing = if opts.use_dag then Some (Tree.sharing tree) else None in
   let nfrags = Split.count split in
   let librarian_id = if opts.use_librarian then Some (nfrags + 1) else None in
   let sim = S.create ~params:opts.net_params () in
@@ -349,7 +342,7 @@ let run_sim_static opts g plan tree =
     (* Interning sits above reliable delivery: binds and references are
        retransmitted like any payload, backfills cover reordering. *)
     let env =
-      if opts.use_hashcons then Intern.env (Intern.wrap ~obs base) else base
+      if opts.use_dag then Intern.env (Intern.wrap ~obs base) else base
     in
     (env, link, obs)
   in
@@ -1121,11 +1114,8 @@ let run_domains_steal opts g tree =
 
 let run_domains_static opts g plan tree =
   let split, nodes_by_id = prepare opts g tree in
-  (* Same collapse unit as the sim static path: [--dag] = class-keyed memo. *)
-  let sharing =
-    if opts.use_hashcons || opts.use_dag then Some (Tree.sharing tree)
-    else None
-  in
+  (* Same collapse unit as the sim static path: the class-keyed memo. *)
+  let sharing = if opts.use_dag then Some (Tree.sharing tree) else None in
   let nfrags = Split.count split in
   let librarian_id = if opts.use_librarian then Some (nfrags + 1) else None in
   let nmachines = nfrags + 2 in
@@ -1203,7 +1193,7 @@ let run_domains_static opts g plan tree =
       else (raw, None)
     in
     let env =
-      if opts.use_hashcons then Intern.env (Intern.wrap ~obs base) else base
+      if opts.use_dag then Intern.env (Intern.wrap ~obs base) else base
     in
     (env, link, obs)
   in

@@ -36,15 +36,9 @@ type options = {
   granularity : float;
   use_priority : bool;
   use_librarian : bool;
-  use_hashcons : bool;
-      (** hash-consed evaluation: subtree/rule memoization in the workers
-          (driven by a {!Pag_core.Tree.sharing} pass over the whole tree),
-          DAG-compressed [Subtree] shipping, and the cross-machine intern
-          librarian ({!Intern}) deduplicating boundary payloads on the wire.
-          Off by default; semantics are unchanged either way. *)
   use_dag : bool;
-      (** first-class DAG evaluation ({!Pag_eval.Dag}): the tree's shared
-          DAG becomes the evaluation substrate. On the [`Steal] simulator
+      (** shared evaluation, the one sharing switch: the tree's shared DAG
+          becomes the evaluation substrate. On the [`Steal] simulator
           schedule the engine builds one rule-instance set per (subtree
           class × inherited fingerprint) — parked occurrences own no
           instances and receive their synthesized attributes by slot-range
@@ -53,7 +47,10 @@ type options = {
           encoding ({!Split.dag_bytes}: each class body crosses once per
           machine). On the [`Static]/[`Dynamic] schedules the collapse
           unit is the same class table routed through the worker subtree
-          memo (as [use_hashcons], minus wire interning). On the domains
+          memo ({!Pag_eval.Memo}, driven by a {!Pag_core.Tree.sharing} pass
+          over the whole tree), and every machine talks through the
+          cross-machine intern librarian ({!Intern}), which deduplicates
+          boundary payloads on the wire. On the domains
           [`Steal] transport every region is materialized up front — the
           projection bookkeeping is single-threaded — so the run checks
           result parity, not a sharing win. Uid-consuming rules taint

@@ -14,7 +14,6 @@ type spec = {
   sp_granularity : float;
   sp_librarian : bool;
   sp_priority : bool;
-  sp_hashcons : bool;
   sp_dag : bool;
   sp_telemetry : bool;
   sp_faults : Faults.spec option;
@@ -26,9 +25,8 @@ type spec = {
 
 let spec ?(mode = `Combined) ?(schedule = `Static) ?(transport = `Sim)
     ?(granularity = 1.0) ?(librarian = true) ?(priority = true)
-    ?(hashcons = false) ?(dag = false) ?(telemetry = false) ?faults ?fault_rto
-    ?fault_watchdog ?(phase_label = fun _ -> None) ?(provenance = false)
-    machines =
+    ?(dag = false) ?(telemetry = false) ?faults ?fault_rto ?fault_watchdog
+    ?(phase_label = fun _ -> None) ?(provenance = false) machines =
   {
     sp_machines = machines;
     (* the all-dynamic schedule is the classic protocol in dynamic mode *)
@@ -38,7 +36,6 @@ let spec ?(mode = `Combined) ?(schedule = `Static) ?(transport = `Sim)
     sp_granularity = granularity;
     sp_librarian = librarian;
     sp_priority = priority;
-    sp_hashcons = hashcons;
     sp_dag = dag;
     sp_telemetry = telemetry;
     sp_faults = faults;
@@ -57,7 +54,6 @@ let options s =
     granularity = s.sp_granularity;
     use_librarian = s.sp_librarian;
     use_priority = s.sp_priority;
-    use_hashcons = s.sp_hashcons;
     use_dag = s.sp_dag;
     telemetry = s.sp_telemetry;
     faults = s.sp_faults;
@@ -108,7 +104,7 @@ type edit_report = {
   er_latency : float;
 }
 
-let open_session ?obs ?memo ?prov ?frontier sp g tree =
+let open_session ?obs ?prov ?frontier sp g tree =
   let prov =
     match prov with
     | Some p -> p
@@ -117,10 +113,7 @@ let open_session ?obs ?memo ?prov ?frontier sp g tree =
           Pag_obs.Prov.create ~arity:(Causal.arity_for g) ()
         else Pag_obs.Prov.disabled
   in
-  let incr =
-    Incr.start ?obs ?memo ~hashcons:sp.sp_hashcons ~dag:sp.sp_dag ~prov
-      ?frontier g tree
-  in
+  let incr = Incr.start ?obs ~dag:sp.sp_dag ~prov ?frontier g tree in
   let plan =
     Split.decompose g (Incr.tree incr) ~machines:sp.sp_machines
       ~granularity:sp.sp_granularity

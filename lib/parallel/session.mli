@@ -42,7 +42,6 @@ type spec = {
   sp_granularity : float;
   sp_librarian : bool;
   sp_priority : bool;
-  sp_hashcons : bool;
   sp_dag : bool;
       (** first-class DAG evaluation: {!Runner.options.use_dag} on
           from-scratch runs; edit sessions evaluate through
@@ -71,7 +70,6 @@ val spec :
   ?granularity:float ->
   ?librarian:bool ->
   ?priority:bool ->
-  ?hashcons:bool ->
   ?dag:bool ->
   ?telemetry:bool ->
   ?faults:Faults.spec ->
@@ -116,12 +114,9 @@ type edit_report = {
 }
 
 (** Evaluate [tree] from scratch, decompose it, and keep both resident.
-    [frontier] and [memo] as in {!Pag_eval.Incr.start} — a service
-    multiplexing many sessions passes one shared [memo] so tenants share
-    an intern arena when the spec enables hash-consing. *)
+    [frontier] as in {!Pag_eval.Incr.start}. *)
 val open_session :
   ?obs:Pag_obs.Obs.ctx ->
-  ?memo:Memo.rules ->
   ?prov:Pag_obs.Prov.t ->
   ?frontier:float ->
   spec ->

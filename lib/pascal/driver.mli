@@ -27,10 +27,8 @@ val phase_label : int -> string option
 (** Sequential compilation with the chosen evaluator. With a live [obs]
     context (pid 0, wall clock), the tree build and the evaluator phases
     are recorded as spans alongside the evaluation counters.
-    [~hashcons:true] enables hash-consed (memoized) evaluation for the
-    [`Static] and [`Dynamic] evaluators; [`Oracle] ignores it.
 
-    [~dag:true] evaluates on the shared DAG: for [`Dynamic], one
+    [~dag:true] evaluates on the shared DAG (ignored by [`Oracle]): for [`Dynamic], one
     rule-instance set per unique subtree with occurrence projection
     ({!Pag_eval.Dag}); for [`Static], the subtree memo (whose replay unit
     — the whole visit over a shape class — is that schedule's collapse
@@ -42,7 +40,6 @@ val phase_label : int -> string option
     [--profile] on the sequential path). *)
 val compile :
   ?obs:Pag_obs.Obs.ctx ->
-  ?hashcons:bool ->
   ?dag:bool ->
   ?dag_out:(Pag_eval.Dag.t -> unit) ->
   ?prov:Pag_obs.Prov.t ->

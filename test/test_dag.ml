@@ -403,16 +403,15 @@ let test_dag_incr_gate_divergence_splits () =
 (* --------------- parallel parity sweep --------------- *)
 
 (* [--dag] on every parallel path: the masked code must equal the
-   sequential reference whatever the schedule, transport or memo setting.
+   sequential reference whatever the schedule or transport.
    (dag-off == reference is already covered by the parallel suites, so
    dag-on == reference gives dag-on == dag-off.) *)
-let parallel_masked_asm ~transport ~schedule ~hashcons prog =
+let parallel_masked_asm ~transport ~schedule prog =
   let o =
     {
       Pag_parallel.Runner.default_options with
       Pag_parallel.Runner.machines = 3;
       schedule;
-      use_hashcons = hashcons;
       use_dag = true;
       phase_label = Pascal.Driver.phase_label;
     }
@@ -436,15 +435,10 @@ let test_dag_parallel_parity () =
     (fun (transport, tname) ->
       List.iter
         (fun (schedule, sname) ->
-          List.iter
-            (fun hashcons ->
-              let name =
-                Printf.sprintf "dag %s/%s hashcons=%b == sequential" tname
-                  sname hashcons
-              in
-              check_string name reference
-                (parallel_masked_asm ~transport ~schedule ~hashcons prog))
-            [ false; true ])
+          check_string
+            (Printf.sprintf "dag %s/%s == sequential" tname sname)
+            reference
+            (parallel_masked_asm ~transport ~schedule prog))
         [ (`Static, "static"); (`Dynamic, "dynamic"); (`Steal, "steal") ])
     [ (`Sim, "sim"); (`Domains, "domains") ]
 
@@ -503,7 +497,7 @@ let suite =
         Alcotest.test_case "incr: inherited-gate change splits projections"
           `Quick test_dag_incr_gate_divergence_splits;
         Alcotest.test_case
-          "parallel parity: {static,dynamic,steal} x {sim,domains} x memo"
+          "parallel parity: {static,dynamic,steal} x {sim,domains}"
           `Quick test_dag_parallel_parity;
         Alcotest.test_case "steal+sim: fewer instances, no wire inflation"
           `Quick test_dag_steal_instances_and_wire;

@@ -100,6 +100,29 @@ let prop_intern_canonical =
   qc ~count:200 "structural copies intern to one representative" arb_value
     (fun v -> Value.intern v == Value.intern (copy v))
 
+(* The arena is process-wide and several domains intern at once (each
+   machine's subtree memo on the domains transport, each tenant's DAG gates
+   in a domains service round). Two domains intern the same values,
+   structurally equal but built separately, fresh every round: every pair
+   must come back as one canonical representative. *)
+let test_intern_across_domains () =
+  let n = 5_000 in
+  let make round i =
+    Value.Pair
+      ( Value.List [ Value.str "domains"; Value.Int round ],
+        Value.List [ Value.Int i; Value.str (string_of_int i) ] )
+  in
+  for round = 1 to 15 do
+    let run () = Array.init n (fun i -> Value.intern (make round i)) in
+    let other = Domain.spawn run in
+    let mine = run () in
+    let theirs = Domain.join other in
+    let split = ref 0 in
+    Array.iteri (fun i c -> if c != theirs.(i) then incr split) mine;
+    check_int (Printf.sprintf "round %d: equal values left unshared" round) 0
+      !split
+  done
+
 let prop_dag_size_bounded =
   qc ~count:200 "dag_byte_size <= byte_size" arb_value (fun v ->
       Value.dag_byte_size v <= Value.byte_size v)
@@ -315,8 +338,8 @@ let test_primes_memoized_agrees () =
   let prog = Pascal.Parser.parse_program (Lazy.force primes) in
   let reference = interp_out prog in
   let plain = Pascal.Driver.compile ~evaluator:`Static prog in
-  let st = Pascal.Driver.compile ~hashcons:true ~evaluator:`Static prog in
-  let dy = Pascal.Driver.compile ~hashcons:true ~evaluator:`Dynamic prog in
+  let st = Pascal.Driver.compile ~dag:true ~evaluator:`Static prog in
+  let dy = Pascal.Driver.compile ~dag:true ~evaluator:`Dynamic prog in
   Alcotest.(check string) "memoized asm = plain asm" plain.Pascal.Driver.c_asm st.Pascal.Driver.c_asm;
   Alcotest.(check string) "static memoized = interpreter" reference (vax_out st);
   Alcotest.(check string) "dynamic memoized = interpreter" reference (vax_out dy)
@@ -333,7 +356,7 @@ let test_primes_parallel_hashcons () =
   in
   let r_plain, plain = Pascal.Driver.compile_parallel_sim o prog in
   let r_memo, memo =
-    Pascal.Driver.compile_parallel_sim { o with Runner.use_hashcons = true } prog
+    Pascal.Driver.compile_parallel_sim { o with Runner.use_dag = true } prog
   in
   Alcotest.(check string)
     "parallel memoized asm = parallel plain asm"
@@ -355,7 +378,7 @@ let test_faults_with_hashcons () =
       Runner.default_options with
       Runner.machines = 3;
       use_librarian = true;
-      use_hashcons = true;
+      use_dag = true;
       phase_label = Pascal.Driver.phase_label;
     }
   in
@@ -394,7 +417,7 @@ let prop_hashcons_chaos =
           Runner.default_options with
           Runner.machines = 3;
           use_librarian = true;
-          use_hashcons = true;
+          use_dag = true;
           phase_label = Pascal.Driver.phase_label;
         }
       in
@@ -489,6 +512,8 @@ let suite =
         Alcotest.test_case "rope prepend depth" `Quick test_rope_prepend_depth;
         prop_intern_observational;
         prop_intern_canonical;
+        Alcotest.test_case "intern is domain-safe" `Quick
+          test_intern_across_domains;
         prop_dag_size_bounded;
         prop_byte_size_is_flattened_length;
         Alcotest.test_case "dag size exploits sharing" `Quick

@@ -38,9 +38,9 @@ let arb_tenants =
       list_size (2 -- 4)
         (pair (int_bound 100_000) (list_size (0 -- 4) (int_bound 100_000))))
 
-let run_service_interleaved ~policy ~hashcons tenants =
+let run_service_interleaved ~policy ~dag tenants =
   let g = Expr_ag.grammar in
-  let sv = Service.create (Service.config ~policy ~hashcons 2) g in
+  let sv = Service.create (Service.config ~policy ~dag 2) g in
   let names = List.mapi (fun i _ -> Printf.sprintf "t%d" i) tenants in
   List.iter2
     (fun name (s0, _) -> Service.open_tenant sv name (expr_of s0))
@@ -62,17 +62,17 @@ let run_service_interleaved ~policy ~hashcons tenants =
   Service.drain sv;
   (sv, names)
 
-let prop_multiplexing_is_isolation ~policy ~hashcons label =
+let prop_multiplexing_is_isolation ~policy ~dag label =
   qc ~count:15
     (Printf.sprintf "service = K isolated sessions (%s)" label)
     arb_tenants
     (fun tenants ->
       let g = Expr_ag.grammar in
-      let sv, names = run_service_interleaved ~policy ~hashcons tenants in
+      let sv, names = run_service_interleaved ~policy ~dag tenants in
       List.for_all2
         (fun name (s0, es) ->
           let spec =
-            Session.spec ~granularity:0.05 ~librarian:false ~hashcons 2
+            Session.spec ~granularity:0.05 ~librarian:false ~dag 2
           in
           let iso = Session.open_session spec g (expr_of s0) in
           List.iter (fun seed -> ignore (Session.edit iso (expr_of seed))) es;
@@ -296,13 +296,13 @@ let suite =
     ( "service",
       [
         prop_multiplexing_is_isolation ~policy:Service.Round_robin
-          ~hashcons:false "round-robin, hashcons off";
+          ~dag:false "round-robin, dag off";
         prop_multiplexing_is_isolation ~policy:Service.Round_robin
-          ~hashcons:true "round-robin, hashcons on";
+          ~dag:true "round-robin, dag on";
         prop_multiplexing_is_isolation ~policy:Service.Shortest_queue
-          ~hashcons:false "shortest-queue, hashcons off";
+          ~dag:false "shortest-queue, dag off";
         prop_multiplexing_is_isolation ~policy:Service.Shortest_queue
-          ~hashcons:true "shortest-queue, hashcons on";
+          ~dag:true "shortest-queue, dag on";
         Alcotest.test_case "admission backpressure" `Quick test_backpressure;
         Alcotest.test_case "idle eviction + re-admission" `Quick
           test_idle_eviction_and_readmission;
