@@ -38,6 +38,14 @@ dune exec bin/pagc.exe -- --serve examples/three_tenants.serve \
   --batch-edits 4 >/dev/null
 dune exec bin/pagc.exe -- --machines 3 --batch-edits 2 \
   --edit-session examples/primes.edits examples/primes.pas >/dev/null
+# Edit sessions under faults: the single-edit wave and the batched wave
+# both run behind the reliable-delivery layer, and pagc exits nonzero
+# unless every resident matches a from-scratch compile.
+dune exec bin/pagc.exe -- --machines 3 --faults drop=0.2 \
+  --edit-session examples/primes.edits examples/primes.pas >/dev/null
+dune exec bin/pagc.exe -- --machines 4 --batch-edits 2 \
+  --faults drop=0.1,dup=0.1 \
+  --edit-session examples/primes.edits examples/primes.pas >/dev/null
 # DAG evaluation smoke: the DAG-native steal schedule must emit the same
 # masked assembly as the sequential compile, and --explain on a DAG run
 # must verify the class-level provenance (occurrence fan-out edges)

@@ -611,6 +611,9 @@ let run_topo e gr =
 (* ------------------------------------------------------------------ *)
 
 (* Same data-driven fixed point as {!run_topo}, parallel across domains.
+   One driver ({!steal_drive}) serves both first runs ({!run_steal}) and
+   batched refire waves ({!refire_set}); each passes only its firing
+   function.
 
    Readiness lives in per-instance atomic dependency counters; ready rids
    sit in per-domain Chase-Lev deques ({!Steal}). A domain pops its own
@@ -640,6 +643,95 @@ let gather_quiet e rid =
   done;
   args
 
+(* The per-domain loop behind {!run_steal} and the domains mode of
+   {!refire_set}. [deques] arrive seeded with [seeded] ready rids. [exec d
+   ~release] builds domain [d]'s firing function once per domain (so
+   per-domain setup stays off the per-firing path); it fires one ready rid,
+   hands each consumer it makes ready to [release], and returns whether the
+   rid counted as a firing. A raising rule poisons the census so every
+   domain drains and exits, and the exception is re-raised after the join.
+   Returns the firings and the per-domain statistics. *)
+let steal_drive e ~uid_base ~deques ~seeded exec =
+  let d_count = Array.length deques in
+  let stats = Array.init d_count (fun _ -> Steal.zero_stats ()) in
+  let pending = Atomic.make seeded in
+  let failure = Atomic.make None in
+  let body d =
+    let my = deques.(d) in
+    let st = stats.(d) in
+    (* deterministic per-domain xorshift for victim selection *)
+    let seed = ref ((((d + 1) * 0x9E3779B1) lor 1) land 0x3FFFFFFF) in
+    let next_victim () =
+      let x = !seed in
+      let x = x lxor (x lsl 13) in
+      let x = x lxor (x lsr 7) in
+      let x = (x lxor (x lsl 17)) land 0x3FFFFFFF in
+      seed := x;
+      let v = x mod (d_count - 1) in
+      if v >= d then v + 1 else v
+    in
+    let release c =
+      Atomic.incr pending;
+      Steal.push my c;
+      let depth = Steal.size my in
+      if depth > st.st_hwm then st.st_hwm <- depth
+    in
+    let fire = exec d ~release in
+    let backoff = ref 0 in
+    let rec loop () =
+      if Atomic.get pending > 0 then begin
+        (match Steal.pop my with
+        | Some rid ->
+            backoff := 0;
+            if fire rid then st.st_fired <- st.st_fired + 1;
+            (* retire only after every release: [pending] cannot touch
+               zero while a task exists anywhere *)
+            ignore (Atomic.fetch_and_add pending (-1))
+        | None ->
+            let got =
+              d_count > 1
+              &&
+              (st.st_attempts <- st.st_attempts + 1;
+               let k = Steal.steal_half deques.(next_victim ()) ~into:my in
+               if k > 0 then begin
+                 st.st_successes <- st.st_successes + 1;
+                 st.st_stolen <- st.st_stolen + k;
+                 true
+               end
+               else false)
+            in
+            if got then backoff := 0
+            else begin
+              let spins = 1 lsl min !backoff 10 in
+              for _ = 1 to spins do
+                Domain.cpu_relax ()
+              done;
+              st.st_idle <- st.st_idle +. float_of_int spins;
+              if !backoff < 16 then incr backoff
+            end);
+        loop ()
+      end
+    in
+    (* fresh domains have no ambient uid base; give each its own stripe *)
+    let cursor = ref (uid_base + (d * Uid.stride)) in
+    try Uid.with_counter cursor loop
+    with exn ->
+      (* poison the census so the other domains drain and exit *)
+      Atomic.set failure (Some exn);
+      Atomic.set pending 0
+  in
+  let spawned =
+    Array.init (d_count - 1) (fun i -> Domain.spawn (fun () -> body (i + 1)))
+  in
+  body 0;
+  Array.iter Domain.join spawned;
+  (match Atomic.get failure with Some exn -> raise exn | None -> ());
+  let fired =
+    Array.fold_left (fun a (st : Steal.stats) -> a + st.st_fired) 0 stats
+  in
+  e.e_fired <- e.e_fired + fired;
+  (fired, stats)
+
 (* ------------------------------------------------------------------ *)
 (* Batched refire waves                                                *)
 (* ------------------------------------------------------------------ *)
@@ -656,15 +748,15 @@ let gather_quiet e rid =
 
    The sequential mode (domains <= 1) drives {!refire} directly —
    provenance recording included, which is what lets [--profile]
-   attribute blame across a batched wave. The [domains] mode replays the
-   {!run_steal} machinery over the cone only: per-domain Chase-Lev deques
-   seeded by cone ownership ([owner], typically the edit whose cone first
-   reached the member), atomic waiting counters over cone members, poked
-   target writes committed sequentially after the join. Like {!run_steal}
-   it bypasses the engine-attached provenance ring (not domain-safe), and
-   uids come from per-domain stripes above
-   [uid_base]. Round counts are a property of the level-synchronous
-   schedule, so the domains mode reports [rf_rounds = 0]. *)
+   attribute blame across a batched wave. The [domains] mode is
+   {!steal_drive} restricted to the cone: deques seeded by cone ownership
+   ([owner], typically the edit whose cone first reached the member),
+   atomic waiting counters over cone members, poked target writes
+   committed sequentially after the join. Like {!run_steal} it bypasses
+   the engine-attached provenance ring (not domain-safe), and uids come
+   from per-domain stripes above [uid_base]. Round counts are a property
+   of the level-synchronous schedule, so the domains mode reports
+   [rf_rounds = 0]. *)
 
 type refire_stats = {
   rf_refired : int;
@@ -760,8 +852,6 @@ let refire_set_steal ~domains ~owner ~uid_base e gr ~cone ~is_seed ~changed
   in
   let waiting = Array.init (max 1 m) (fun _ -> Atomic.make 0) in
   let deques = Array.init d_count (fun _ -> Steal.create ()) in
-  let stats = Array.init d_count (fun _ -> Steal.zero_stats ()) in
-  let cutoffs = Array.make d_count 0 in
   let seeded = ref 0 in
   Array.iteri
     (fun i rid ->
@@ -776,125 +866,57 @@ let refire_set_steal ~domains ~owner ~uid_base e gr ~cone ~is_seed ~changed
         incr seeded
       end)
     cone;
-  let pending = Atomic.make !seeded in
-  let failure = Atomic.make None in
-  let body d =
-    let my = deques.(d) in
-    let st = stats.(d) in
-    let seed = ref ((((d + 1) * 0x9E3779B1) lor 1) land 0x3FFFFFFF) in
-    let next_victim () =
-      let x = !seed in
-      let x = x lxor (x lsl 13) in
-      let x = x lxor (x lsr 7) in
-      let x = (x lxor (x lsl 17)) land 0x3FFFFFFF in
-      seed := x;
-      let v = x mod (d_count - 1) in
-      if v >= d then v + 1 else v
+  let exec _ ~release rid =
+    let must =
+      is_seed rid
+      ||
+      let hit = ref false in
+      iter_slot_args e rid (fun slot ->
+          (* published by the producer's write before its atomic
+             release of our waiting counter *)
+          if changed.(slot) = epoch then hit := true);
+      !hit
     in
-    let exec rid =
-      let i = Hashtbl.find idx_of rid in
-      let must =
-        is_seed rid
-        ||
-        let hit = ref false in
-        iter_slot_args e rid (fun slot ->
-            (* published by the producer's write before its atomic
-               release of our waiting counter *)
-            if changed.(slot) = epoch then hit := true);
-        !hit
+    if must then begin
+      let tgt = e.e_target.(rid) in
+      let v = e.e_rules.(rid).Grammar.r_fn (gather_quiet e rid) in
+      let moved =
+        (not was_set.(Hashtbl.find idx_of rid))
+        || (try not (Value.equal (Store.peek e.e_store tgt) v)
+            with Value.Type_error _ -> true)
       in
-      (if must then begin
-         let tgt = e.e_target.(rid) in
-         let v = e.e_rules.(rid).Grammar.r_fn (gather_quiet e rid) in
-         let moved =
-           (not was_set.(i))
-           || (try not (Value.equal (Store.peek e.e_store tgt) v)
-               with Value.Type_error _ -> true)
-         in
-         Store.poke e.e_store tgt v;
-         if moved then changed.(tgt) <- epoch;
-         st.st_fired <- st.st_fired + 1
-       end
-       else cutoffs.(d) <- cutoffs.(d) + 1);
-      iter_consumers gr e.e_target.(rid) (fun c ->
-          if (not (is_dead e c)) && Hashtbl.mem idx_of c then begin
-            let j = Hashtbl.find idx_of c in
-            if Atomic.fetch_and_add waiting.(j) (-1) = 1 then begin
-              Atomic.incr pending;
-              Steal.push my c;
-              let depth = Steal.size my in
-              if depth > st.st_hwm then st.st_hwm <- depth
-            end
-          end);
-      ignore (Atomic.fetch_and_add pending (-1))
-    in
-    let backoff = ref 0 in
-    let rec loop () =
-      if Atomic.get pending > 0 then begin
-        (match Steal.pop my with
-        | Some rid ->
-            backoff := 0;
-            exec rid
-        | None ->
-            let got =
-              d_count > 1
-              &&
-              (st.st_attempts <- st.st_attempts + 1;
-               let k = Steal.steal_half deques.(next_victim ()) ~into:my in
-               if k > 0 then begin
-                 st.st_successes <- st.st_successes + 1;
-                 st.st_stolen <- st.st_stolen + k;
-                 true
-               end
-               else false)
-            in
-            if got then backoff := 0
-            else begin
-              let spins = 1 lsl min !backoff 10 in
-              for _ = 1 to spins do
-                Domain.cpu_relax ()
-              done;
-              st.st_idle <- st.st_idle +. float_of_int spins;
-              if !backoff < 16 then incr backoff
-            end);
-        loop ()
-      end
-    in
-    let cursor = ref (uid_base + (d * Uid.stride)) in
-    try Uid.with_counter cursor loop
-    with exn ->
-      Atomic.set failure (Some exn);
-      Atomic.set pending 0
+      Store.poke e.e_store tgt v;
+      if moved then changed.(tgt) <- epoch
+    end;
+    iter_consumers gr e.e_target.(rid) (fun c ->
+        if (not (is_dead e c)) && Hashtbl.mem idx_of c then
+          if Atomic.fetch_and_add waiting.(Hashtbl.find idx_of c) (-1) = 1
+          then release c);
+    must
   in
-  let spawned =
-    Array.init (d_count - 1) (fun i -> Domain.spawn (fun () -> body (i + 1)))
-  in
-  body 0;
-  Array.iter Domain.join spawned;
-  (match Atomic.get failure with Some exn -> raise exn | None -> ());
-  let fired = ref 0 in
-  Array.iter (fun (st : Steal.stats) -> fired := !fired + st.st_fired) stats;
-  e.e_fired <- e.e_fired + !fired;
-  let cutoff = Array.fold_left ( + ) 0 cutoffs in
-  (* Restore store invariants for every poked target. A drained counter
-     with a cutoff means the target was already set (an unset target
-     implies an appended seed, which always re-fires), so the idempotent
-     commit is safe on both. *)
+  let fired, _ = steal_drive e ~uid_base ~deques ~seeded:!seeded exec in
+  (* Restore store invariants for every poked target. A member ran iff its
+     counter drained; a drained member that was cut off had its target
+     already set (an unset target implies an appended seed, which always
+     re-fires), so the idempotent commit is safe on both. *)
+  let processed = ref 0 in
   Array.iteri
     (fun i rid ->
-      if Atomic.get waiting.(i) <= 0 then
-        Store.commit_slot e.e_store e.e_target.(rid))
+      if Atomic.get waiting.(i) <= 0 then begin
+        incr processed;
+        Store.commit_slot e.e_store e.e_target.(rid)
+      end)
     cone;
-  if !fired + cutoff < m then
+  if !processed < m then
     raise
       (Cycle
          (Printf.sprintf
             "batched refire stuck: %d of %d cone members unprocessed \
              (cycle through the merged dirty set)"
-            (m - !fired - cutoff) m));
+            (m - !processed) m));
   {
-    rf_refired = !fired;
-    rf_cutoff = cutoff;
+    rf_refired = fired;
+    rf_cutoff = !processed - fired;
     rf_rounds = 0;
     rf_round_refired = [||];
   }
@@ -917,7 +939,6 @@ let run_steal ?(domains = 2) ?owner ?(uid_base = 0) ?prov
   in
   let waiting = Array.init (max 1 n) (fun _ -> Atomic.make 0) in
   let deques = Array.init d_count (fun _ -> Steal.create ()) in
-  let stats = Array.init d_count (fun _ -> Steal.zero_stats ()) in
   let live = ref 0 and seeded = ref 0 in
   for rid = 0 to n - 1 do
     if not (is_dead e rid) then begin
@@ -932,25 +953,10 @@ let run_steal ?(domains = 2) ?owner ?(uid_base = 0) ?prov
       end
     end
   done;
-  let pending = Atomic.make !seeded in
-  let failure = Atomic.make None in
-  let body d =
-    let my = deques.(d) in
-    let st = stats.(d) in
-    (* deterministic per-domain xorshift for victim selection *)
-    let seed = ref ((((d + 1) * 0x9E3779B1) lor 1) land 0x3FFFFFFF) in
-    let next_victim () =
-      let x = !seed in
-      let x = x lxor (x lsl 13) in
-      let x = x lxor (x lsr 7) in
-      let x = (x lxor (x lsl 17)) land 0x3FFFFFFF in
-      seed := x;
-      let v = x mod (d_count - 1) in
-      if v >= d then v + 1 else v
-    in
+  let exec d ~release =
     (* each domain records into its own ring; pid = domain id *)
     let my_prov = match prov with Some ps -> ps.(d) | None -> Prov.disabled in
-    let exec rid =
+    fun rid ->
       let t0 = if Prov.enabled my_prov then prov_clock () else 0.0 in
       let v = e.e_rules.(rid).Grammar.r_fn (gather_quiet e rid) in
       Store.poke e.e_store e.e_target.(rid) v;
@@ -959,77 +965,23 @@ let run_steal ?(domains = 2) ?owner ?(uid_base = 0) ?prov
           ~t1:(prov_clock ()) ~replay:false;
         iter_slot_args e rid (fun slot -> Prov.arg my_prov slot)
       end;
-      st.st_fired <- st.st_fired + 1;
       iter_consumers gr e.e_target.(rid) (fun c ->
           if (not (is_dead e c)) && Atomic.fetch_and_add waiting.(c) (-1) = 1
-          then begin
-            Atomic.incr pending;
-            Steal.push my c;
-            let depth = Steal.size my in
-            if depth > st.st_hwm then st.st_hwm <- depth
-          end);
-      ignore (Atomic.fetch_and_add pending (-1))
-    in
-    let backoff = ref 0 in
-    let rec loop () =
-      if Atomic.get pending > 0 then begin
-        (match Steal.pop my with
-        | Some rid ->
-            backoff := 0;
-            exec rid
-        | None ->
-            let got =
-              d_count > 1
-              &&
-              (st.st_attempts <- st.st_attempts + 1;
-               let k = Steal.steal_half deques.(next_victim ()) ~into:my in
-               if k > 0 then begin
-                 st.st_successes <- st.st_successes + 1;
-                 st.st_stolen <- st.st_stolen + k;
-                 true
-               end
-               else false)
-            in
-            if got then backoff := 0
-            else begin
-              let spins = 1 lsl min !backoff 10 in
-              for _ = 1 to spins do
-                Domain.cpu_relax ()
-              done;
-              st.st_idle <- st.st_idle +. float_of_int spins;
-              if !backoff < 16 then incr backoff
-            end);
-        loop ()
-      end
-    in
-    (* fresh domains have no ambient uid base; give each its own stripe *)
-    let cursor = ref (uid_base + (d * Uid.stride)) in
-    try Uid.with_counter cursor loop
-    with exn ->
-      (* poison the census so the other domains drain and exit *)
-      Atomic.set failure (Some exn);
-      Atomic.set pending 0
+          then release c);
+      true
   in
-  let spawned =
-    Array.init (d_count - 1) (fun i -> Domain.spawn (fun () -> body (i + 1)))
-  in
-  body 0;
-  Array.iter Domain.join spawned;
-  (match Atomic.get failure with Some exn -> raise exn | None -> ());
+  let fired, stats = steal_drive e ~uid_base ~deques ~seeded:!seeded exec in
   (* sequential epilogue: restore store invariants for every fired target
      (a live rid fired iff its dependency counter drained to zero) *)
-  let fired = ref 0 in
-  Array.iter (fun (st : Steal.stats) -> fired := !fired + st.st_fired) stats;
-  e.e_fired <- e.e_fired + !fired;
   for rid = 0 to n - 1 do
     if (not (is_dead e rid)) && Atomic.get waiting.(rid) <= 0 then
       Store.commit_slot e.e_store e.e_target.(rid)
   done;
-  if !fired < !live then
+  if fired < !live then
     raise
       (Cycle
          (Printf.sprintf
             "dynamic evaluation stuck: %d attribute instances unevaluated \
              (circular tree or missing root attributes)"
             (Store.missing e.e_store)));
-  (!fired, stats)
+  (fired, stats)

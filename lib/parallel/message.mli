@@ -68,3 +68,7 @@ val seq_bytes : int
 val iid_bytes : int
 
 val pp : Format.formatter -> t -> unit
+
+(** Short label for simulator traces: the attribute name for attribute
+    messages, the payload's label inside a reliable-delivery envelope. *)
+val label : t -> string

@@ -11,11 +11,8 @@ type options = {
   use_librarian : bool;
   use_dag : bool;
   cost : Cost.t;
-  net_params : Ethernet.params;
   phase_label : int -> string option;
   faults : Faults.spec option;
-  fault_rto : float option;
-  fault_watchdog : float option;
   telemetry : bool;
   provenance : bool;
 }
@@ -30,11 +27,8 @@ let default_options =
     use_librarian = true;
     use_dag = false;
     cost = Cost.default;
-    net_params = Ethernet.default_params;
     phase_label = (fun _ -> None);
     faults = None;
-    fault_rto = None;
-    fault_watchdog = None;
     telemetry = false;
     provenance = false;
   }
@@ -230,6 +224,21 @@ let collect_worker_stats ~faulty stats =
       | None -> failwith "worker did not finish")
     stats
 
+(* Per-machine work-stealing counters. The idle gauge is named by the
+   caller: virtual seconds on the simulator, spin iterations on domains. *)
+let steal_metrics obs ~idle (st : Steal.stats) =
+  if Obs.ctx_enabled obs then begin
+    let reg = obs.Obs.x_metrics in
+    let count name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
+    count "steal.fires" st.Steal.st_fired;
+    count "steal.attempts" st.Steal.st_attempts;
+    count "steal.successes" st.Steal.st_successes;
+    count "steal.stolen" st.Steal.st_stolen;
+    Obs.Metrics.set_gauge_max reg "steal.deque_hwm"
+      (float_of_int st.Steal.st_hwm);
+    Obs.Metrics.add_gauge reg idle st.Steal.st_idle
+  end
+
 (* ------------------------- simulation ------------------------- *)
 
 module S = Sim.Make (struct
@@ -241,10 +250,9 @@ end)
    presumed dead only after the full backoff horizon
    rto * (2 + 4 + ... + 2^max_tries) ~ 51s of silence. A simulated machine
    acknowledges nothing while it burns CPU inside one static visit, so the
-   horizon must exceed the longest compute phase — when the caller does not
-   pin [fault_rto]/[fault_watchdog], {!auto_timeouts} scales them to the
-   workload from the cost model (a machine's share of the tree's rules),
-   never below these floors. *)
+   horizon must exceed the longest compute phase — {!auto_timeouts} scales
+   them to the workload from the cost model (a machine's share of the
+   tree's rules), never below these floors. *)
 let sim_rto = 0.1
 
 let sim_max_tries = 8
@@ -274,31 +282,13 @@ let auto_timeouts opts tree =
   let rto = Float.max sim_rto (phase /. 4.0) in
   (rto, Float.max sim_watchdog (4.0 *. rto))
 
-let rec message_label = function
-  | Message.Attr { attr; _ } -> attr
-  | Message.Subtree { frag; _ } -> Printf.sprintf "subtree %d" frag
-  | Message.Edit { node; _ } -> Printf.sprintf "edit %d" node
-  | Message.Code_frag _ -> "code fragment"
-  | Message.Resolve _ -> "resolve"
-  | Message.Final _ -> "final code"
-  | Message.Stop -> "stop"
-  | Message.Data { payload; _ } -> message_label payload
-  | Message.Ack _ -> "ack"
-  | Message.Ping -> "ping"
-  | Message.Attr_bind { attr; _ } -> attr ^ " (bind)"
-  | Message.Attr_ref { attr; _ } -> attr ^ " (ref)"
-  | Message.Code_frag_bind _ -> "code fragment (bind)"
-  | Message.Code_frag_ref _ -> "code fragment (ref)"
-  | Message.Need_intern _ -> "need intern"
-  | Message.Backfill _ -> "intern backfill"
-
 let sim_env sim id =
   {
     Transport.e_id = id;
     e_delay = S.delay;
     e_send =
       (fun ~dst m ->
-        S.send ~dst ~size:(Message.size m) ~label:(message_label m) m);
+        S.send ~dst ~size:(Message.size m) ~label:(Message.label m) m);
     e_recv = S.recv;
     e_recv_timeout = S.recv_timeout;
     (* Direct scheduler read, not the [ETime] effect: the clock runs once
@@ -316,12 +306,10 @@ let run_sim_static opts g plan tree =
   let sharing = if opts.use_dag then Some (Tree.sharing tree) else None in
   let nfrags = Split.count split in
   let librarian_id = if opts.use_librarian then Some (nfrags + 1) else None in
-  let sim = S.create ~params:opts.net_params () in
+  let sim = S.create () in
   Option.iter (S.set_faults sim) opts.faults;
   let faulty = Option.is_some opts.faults in
-  let auto_rto, auto_watchdog = auto_timeouts opts tree in
-  let rto = Option.value opts.fault_rto ~default:auto_rto in
-  let watchdog = Option.value opts.fault_watchdog ~default:auto_watchdog in
+  let rto, watchdog = auto_timeouts opts tree in
   let ctxs = make_ctxs opts ~n:(nfrags + 2) ~clock:(fun () -> S.time ()) in
   let provs = make_provs opts g ~tree ~n:(nfrags + 2) in
   let prov_engs = Array.make (nfrags + 2) None in
@@ -516,10 +504,9 @@ let probe_reply_bytes k = 32 + (8 * k)
 let run_sim_steal opts g tree =
   let split, _nodes_by_id = prepare opts g tree in
   let m = max 1 opts.machines in
-  let sim = S.create ~params:opts.net_params () in
+  let sim = S.create () in
   let net = S.network sim in
   let injector = Option.map Faults.make opts.faults in
-  let rto = Option.value opts.fault_rto ~default:sim_rto in
   let store = ESt.create_shared g tree in
   (* With [--dag] the shared DAG is the evaluation substrate: repeated
      subtrees get one rule-instance set per (class × inherited
@@ -653,7 +640,7 @@ let run_sim_steal opts g tree =
                 uid_base = k * Uid.stride;
               }
           in
-          S.send ~dst:k ~size:(Message.size msg) ~label:(message_label msg)
+          S.send ~dst:k ~size:(Message.size msg) ~label:(Message.label msg)
             msg
         done;
         let stops = ref 0 in
@@ -768,8 +755,8 @@ let run_sim_steal opts g tree =
                   (match verdict with
                   | Some x when x.Faults.v_drop ->
                       (* probe lost: wait out the timeout, retry later *)
-                      S.delay (rto +. (req_arrival -. now));
-                      st.Steal.st_idle <- st.Steal.st_idle +. rto;
+                      S.delay (sim_rto +. (req_arrival -. now));
+                      st.Steal.st_idle <- st.Steal.st_idle +. sim_rto;
                       false
                   | _ ->
                       (* The stolen instances are in flight until the
@@ -824,29 +811,12 @@ let run_sim_steal opts g tree =
                 let msg = Message.Attr { node = tree.Tree.id; attr; value } in
                 sends.(k) <- sends.(k) + 1;
                 S.send ~dst:0 ~size:(Message.size msg)
-                  ~label:(message_label msg) msg)
+                  ~label:(Message.label msg) msg)
               (ESt.root_attrs store);
           sends.(k) <- sends.(k) + 1;
           S.send ~dst:0 ~size:(Message.size Message.Stop)
-            ~label:(message_label Message.Stop) Message.Stop;
-          if Obs.ctx_enabled obs then begin
-            let reg = obs.Obs.x_metrics in
-            Obs.Metrics.add
-              (Obs.Metrics.counter reg "steal.fires")
-              st.Steal.st_fired;
-            Obs.Metrics.add
-              (Obs.Metrics.counter reg "steal.attempts")
-              st.Steal.st_attempts;
-            Obs.Metrics.add
-              (Obs.Metrics.counter reg "steal.successes")
-              st.Steal.st_successes;
-            Obs.Metrics.add
-              (Obs.Metrics.counter reg "steal.stolen")
-              st.Steal.st_stolen;
-            Obs.Metrics.set_gauge_max reg "steal.deque_hwm"
-              (float_of_int st.Steal.st_hwm);
-            Obs.Metrics.add_gauge reg "steal.idle_wait" st.Steal.st_idle
-          end)
+            ~label:(Message.label Message.Stop) Message.Stop;
+          steal_metrics obs ~idle:"steal.idle_wait" st)
     in
     ()
   done;
@@ -1043,22 +1013,7 @@ let run_domains_steal opts g tree =
     make_ctxs opts ~n:(m + 1) ~clock:(fun () -> Unix.gettimeofday () -. t0)
   in
   Array.iteri
-    (fun d (st : Steal.stats) ->
-      let obs = ctxs.(d + 1) in
-      if Obs.ctx_enabled obs then begin
-        let reg = obs.Obs.x_metrics in
-        Obs.Metrics.add (Obs.Metrics.counter reg "steal.fires") st.Steal.st_fired;
-        Obs.Metrics.add
-          (Obs.Metrics.counter reg "steal.attempts")
-          st.Steal.st_attempts;
-        Obs.Metrics.add
-          (Obs.Metrics.counter reg "steal.successes")
-          st.Steal.st_successes;
-        Obs.Metrics.add (Obs.Metrics.counter reg "steal.stolen") st.Steal.st_stolen;
-        Obs.Metrics.set_gauge_max reg "steal.deque_hwm"
-          (float_of_int st.Steal.st_hwm);
-        Obs.Metrics.add_gauge reg "steal.idle_spins" st.Steal.st_idle
-      end)
+    (fun d st -> steal_metrics ctxs.(d + 1) ~idle:"steal.idle_spins" st)
     stats;
   ignore fires;
   let worker_stats =

@@ -58,7 +58,6 @@ type options = {
           output is unchanged up to label renaming (exactly equal after
           masking, property-tested). Off by default. *)
   cost : Cost.t;
-  net_params : Ethernet.params;
   phase_label : int -> string option;
       (** trace label for static visit numbers, e.g. 1 -> "symbol table" *)
   faults : Faults.spec option;
@@ -68,19 +67,13 @@ type options = {
           before. An all-zero spec measures the reliable layer's overhead.
           On the domains transport, crash entries take effect from the start
           (the machine never runs) and delay/reorder jitter is approximated
-          by send-order perturbation. *)
-  fault_rto : float option;
-      (** base retransmission timeout for the reliable layer. A machine
-          acks nothing while it computes, so the give-up horizon
+          by send-order perturbation. A machine acks nothing while it
+          computes, so the reliable layer's give-up horizon
           rto * (2 + 4 + ... + 2^max_tries) must exceed the longest compute
-          phase or live peers are presumed dead. [None] (recommended)
-          auto-scales to the workload on the simulator — a machine's share
-          of the tree's rules priced by the cost model, floored at the
-          fixture-sized default — and picks the fixed real-time default on
-          domains. *)
-  fault_watchdog : float option;
-      (** coordinator liveness-probe interval; [None] scales with the
-          (possibly auto-scaled) [fault_rto]. *)
+          phase: the static simulator scales its retransmission timeout and
+          liveness watchdog to the workload (a machine's share of the
+          tree's rules priced by the cost model, floored at fixture-sized
+          defaults); the other paths use fixed defaults. *)
   telemetry : bool;
       (** record spans, events and metrics on every machine (see
           {!Pag_obs.Obs}); off by default — the instrumentation then costs

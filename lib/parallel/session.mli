@@ -49,8 +49,6 @@ type spec = {
           only, so resident sessions keep the sharing across edits) *)
   sp_telemetry : bool;
   sp_faults : Faults.spec option;
-  sp_fault_rto : float option;
-  sp_fault_watchdog : float option;
   sp_phase_label : int -> string option;
   sp_provenance : bool;
       (** record per-firing provenance for {!Pag_eval.Causal} analysis
@@ -73,8 +71,6 @@ val spec :
   ?dag:bool ->
   ?telemetry:bool ->
   ?faults:Faults.spec ->
-  ?fault_rto:float ->
-  ?fault_watchdog:float ->
   ?phase_label:(int -> string option) ->
   ?provenance:bool ->
   int ->

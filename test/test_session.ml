@@ -218,6 +218,124 @@ let test_batched_identity () =
   check_int "no bytes" 0 r.Session.br_bytes;
   check_bool "no latency" true (r.Session.br_latency = 0.0)
 
+(* Exact wave pricing: every priced field of single-edit and batched
+   waves is pinned, latencies bit for bit, so a change to the shared wave
+   driver cannot move virtual-time results unnoticed. The fixture is a
+   balanced tree of [let] blocks (the expression grammar's only splittable
+   symbol), so three machines get three fragments. *)
+let rec balanced depth leaf i =
+  if depth = 0 then Expr_ag.num (leaf i)
+  else
+    Expr_ag.let_in "x" (Expr_ag.num i)
+      (Expr_ag.add
+         (balanced (depth - 1) leaf (2 * i))
+         (Expr_ag.mul
+            (balanced (depth - 1) leaf ((2 * i) + 1))
+            (Expr_ag.var "x")))
+
+(* the balanced fixture with leaf values overridden by [edits] *)
+let variant edits =
+  Expr_ag.main
+    (balanced 5
+       (fun i -> Option.value (List.assoc_opt i edits) ~default:(i + 1))
+       0)
+
+(* a different root production: the edit falls back to a rebuild *)
+let root_change () =
+  Expr_ag.(main (let_in "x" (num 4) (add (var "x") (num 2))))
+
+let check_bits what expected actual =
+  check_bool
+    (Printf.sprintf "%s: %h = %h" what expected actual)
+    true
+    (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual))
+
+let pinned_session faults =
+  Session.open_session ~frontier:1.1
+    (Session.spec ~granularity:0.05 ~librarian:false ?faults 3)
+    Expr_ag.grammar (variant [])
+
+let drop_faults =
+  Some { Netsim.Faults.none with Netsim.Faults.fs_drop = 0.3; fs_seed = 5 }
+
+let test_pinned_edit_pricing () =
+  let edits =
+    [
+      variant [ (3, 40) ];
+      variant [ (3, 40); (20, 7) ];
+      variant [ (20, 7) ];
+      root_change ();
+    ]
+  in
+  List.iter
+    (fun (label, faults, expected) ->
+      let es = pinned_session faults in
+      List.iteri
+        (fun k (latency, bytes, full, messages, retransmits) ->
+          let r = Session.edit es (List.nth edits k) in
+          let what = Printf.sprintf "%s edit %d" label k in
+          check_bits (what ^ " latency") latency r.Session.er_latency;
+          check_int (what ^ " bytes") bytes r.Session.er_bytes_incr;
+          check_int (what ^ " full bytes") full r.Session.er_bytes_full;
+          check_int (what ^ " messages") messages r.Session.er_messages;
+          check_int (what ^ " retransmits") retransmits
+            r.Session.er_retransmits)
+        expected)
+    [
+      ( "fault-free",
+        None,
+        [
+          (0x1.1226733150042p-7, 211, 4743, 6, 0);
+          (0x1.a54aa7c3fec7ep-7, 199, 4743, 6, 0);
+          (0x1.1226733150042p-7, 211, 4743, 6, 0);
+          (0x1.02b261e77ba4bp-4, 212, 244, 4, 0);
+        ] );
+      ( "drop 0.3",
+        drop_faults,
+        [
+          (0x1.54bc19f7220afp-7, 768, 4743, 22, 9);
+          (0x1.e7e04e89d0cedp-7, 871, 4743, 29, 14);
+          (0x1.54bc19f7220afp-7, 768, 4743, 22, 9);
+          (0x1.5252b32b3b174p-3, 341, 244, 9, 1);
+        ] );
+    ]
+
+let test_pinned_batch_pricing () =
+  List.iter
+    (fun (label, faults, (rounds_wave, fallback_wave)) ->
+      let es = pinned_session faults in
+      let check what (latency, bytes, messages, retransmits, rounds, fallbacks)
+          (r : Session.batch_report) =
+        let what = Printf.sprintf "%s %s" label what in
+        check_bits (what ^ " latency") latency r.Session.br_latency;
+        check_int (what ^ " bytes") bytes r.Session.br_bytes;
+        check_int (what ^ " messages") messages r.Session.br_messages;
+        check_int (what ^ " retransmits") retransmits r.Session.br_retransmits;
+        check_int (what ^ " rounds") rounds r.Session.br_rounds;
+        check_int (what ^ " fallbacks") fallbacks r.Session.br_fallbacks
+      in
+      (* two independent leaf edits merge into one wave of parallel rounds
+         across the three fragment machines (two non-root fragments with
+         two boundary attributes each, plus the root's value) *)
+      let r =
+        Session.edit_batch es
+          [ variant [ (3, 40) ]; variant [ (3, 40); (20, 7) ] ]
+      in
+      check "rounds wave" rounds_wave r;
+      check_int "three fragments" 5 r.Session.br_boundary_total;
+      check "fallback wave" fallback_wave
+        (Session.edit_batch es [ root_change () ]))
+    [
+      ( "fault-free",
+        None,
+        ( (0x1.1a6e404f7b686p-6, 755, 10, 0, 19, 0),
+          (0x1.02264aed641cp-4, 106, 4, 0, 0, 1) ) );
+      ( "drop 0.3",
+        drop_faults,
+        ( (0x1.0a23330aef475p-1, 2127, 41, 16, 19, 0),
+          (0x1.520ca7ae2f52ep-3, 235, 9, 1, 0, 1) ) );
+    ]
+
 let suite =
   [
     ( "session",
@@ -235,5 +353,9 @@ let suite =
           test_resident_store_stays_bounded;
         Alcotest.test_case "batched wave" `Quick test_batched_wave;
         Alcotest.test_case "batched identity" `Quick test_batched_identity;
+        Alcotest.test_case "pinned edit pricing" `Quick
+          test_pinned_edit_pricing;
+        Alcotest.test_case "pinned batch pricing" `Quick
+          test_pinned_batch_pricing;
       ] );
   ]

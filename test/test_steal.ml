@@ -206,6 +206,61 @@ let test_run_steal_cycle () =
        false
      with Engine.Cycle _ -> true)
 
+(* A semantic rule that raises inside the shared steal driver must surface
+   as itself — not as [Cycle] from a drained-but-incomplete census — from
+   both entry points, with every domain joined. *)
+let test_steal_rule_failure () =
+  let open Grammar in
+  let armed = ref false in
+  let g =
+    make ~name:"boom" ~start:"r"
+      [
+        terminal "T" [ "v" ];
+        nonterminal "r" [ syn "out" ];
+        nonterminal "x" [ syn "s" ];
+      ]
+      [
+        production ~name:"root" ~lhs:"r" ~rhs:[ "x"; "x"; "x"; "x" ]
+          [
+            rule (lhs "out")
+              ~deps:[ rhs 1 "s"; rhs 2 "s"; rhs 3 "s"; rhs 4 "s" ]
+              (fun a -> a.(0));
+          ];
+        production ~name:"leaf" ~lhs:"x" ~rhs:[ "T" ]
+          [
+            rule (lhs "s") ~deps:[ rhs 1 "v" ] (fun a ->
+                if !armed then failwith "boom" else a.(0));
+          ];
+      ]
+  in
+  let leaf k = Tree.node g "leaf" [ Tree.leaf g "T" [ ("v", Value.Int k) ] ] in
+  let tree () = Tree.node g "root" (List.init 4 leaf) in
+  let raises_boom f =
+    match f () with
+    | _ -> false
+    | exception Failure m -> m = "boom"
+    | exception Engine.Cycle _ -> false
+  in
+  armed := true;
+  let e = Engine.create g (Store.create g (tree ())) in
+  check_bool "run_steal re-raises the rule's exception" true
+    (raises_boom (fun () -> ignore (Engine.run_steal ~domains:2 e (Engine.graph e))));
+  (* a clean first run, then a refire wave whose every member is a seed *)
+  armed := false;
+  let st = Store.create g (tree ()) in
+  let e = Engine.create g st in
+  let gr = Engine.graph e in
+  ignore (Engine.run_topo e gr);
+  armed := true;
+  check_bool "refire_set ~domains:2 re-raises the rule's exception" true
+    (raises_boom (fun () ->
+         ignore
+           (Engine.refire_set ~domains:2 e gr
+              ~cone:(Array.init (Engine.rule_count e) Fun.id)
+              ~is_seed:(fun _ -> true)
+              ~changed:(Array.make (Store.slot_count st) 0)
+              ~epoch:1)))
+
 (* ---------------- simulated transport under faults ---------------- *)
 
 let test_sim_steal_under_faults () =
@@ -246,6 +301,8 @@ let suite =
         Alcotest.test_case "owner vs thief (2 domains)" `Quick test_owner_vs_thief;
         prop_run_steal_matches_topo;
         Alcotest.test_case "run_steal detects cycles" `Quick test_run_steal_cycle;
+        Alcotest.test_case "steal driver re-raises rule failures" `Quick
+          test_steal_rule_failure;
         Alcotest.test_case "sim steal under faults" `Quick test_sim_steal_under_faults;
       ] );
   ]
