@@ -38,14 +38,28 @@ dune exec bin/pagc.exe -- --serve examples/three_tenants.serve \
   --batch-edits 4 >/dev/null
 dune exec bin/pagc.exe -- --machines 3 --batch-edits 2 \
   --edit-session examples/primes.edits examples/primes.pas >/dev/null
-# Edit sessions under faults: the single-edit wave and the batched wave
-# both run behind the reliable-delivery layer, and pagc exits nonzero
-# unless every resident matches a from-scratch compile.
-dune exec bin/pagc.exe -- --machines 3 --faults drop=0.2 \
-  --edit-session examples/primes.edits examples/primes.pas >/dev/null
+# Edits under faults: the batched wave runs behind the reliable-delivery
+# layer, and pagc exits nonzero unless every resident matches a
+# from-scratch compile.
 dune exec bin/pagc.exe -- --machines 4 --batch-edits 2 \
   --faults drop=0.1,dup=0.1 \
   --edit-session examples/primes.edits examples/primes.pas >/dev/null
+# Golden edit-session transcripts: each report (per-edit cones, wire bytes,
+# retransmits and virtual-time latency, which all follow from the split
+# plans and the edit deltas) must match its committed copy byte for byte.
+# The single-edit wave under drops also exercises reliable delivery.
+golden() {
+  expected=examples/primes.edits.$1.expected
+  shift
+  dune exec bin/pagc.exe -- "$@" \
+    --edit-session examples/primes.edits examples/primes.pas \
+    2>/tmp/pagc_golden.err >/dev/null
+  cmp /tmp/pagc_golden.err "$expected"
+}
+golden m3 --machines 3
+golden m3-drop --machines 3 --faults drop=0.2
+golden m4-batch2 --machines 4 --batch-edits 2
+golden m6 --machines 6
 # DAG evaluation smoke: the DAG-native steal schedule must emit the same
 # masked assembly as the sequential compile, and --explain on a DAG run
 # must verify the class-level provenance (occurrence fan-out edges)

@@ -185,36 +185,41 @@ type delta = Equal | Root | Subtree of { parent : t; pos : int; repl : t }
    both in lockstep while exactly one child pair differs; the replacement
    site is where the productions (or terminal attributes) first diverge.
    Multiple differing children mean their common parent must be replaced
-   wholesale. *)
+   wholesale. One pass: the first differing child pair is found by
+   descending into it, the later siblings are only compared until a second
+   difference, so each node pair is visited at most once. *)
 let diff a b =
   let same_shape x y =
     x.sym_id = y.sym_id
-    && match (x.prod, y.prod) with
-       | Some p, Some q -> p.Grammar.p_id = q.Grammar.p_id
-       | None, None ->
-           List.compare_lengths x.term_attrs y.term_attrs = 0
-           && List.for_all2
-                (fun (n1, v1) (n2, v2) ->
-                  String.equal n1 n2 && Value.equal v1 v2)
-                x.term_attrs y.term_attrs
-       | _ -> false
+    && Array.length x.children = Array.length y.children
+    &&
+    match (x.prod, y.prod) with
+    | Some p, Some q -> p.Grammar.p_id = q.Grammar.p_id
+    | None, None ->
+        List.compare_lengths x.term_attrs y.term_attrs = 0
+        && List.for_all2
+             (fun (n1, v1) (n2, v2) -> String.equal n1 n2 && Value.equal v1 v2)
+             x.term_attrs y.term_attrs
+    | _ -> false
   in
   (* [Root] from [go x y] means x and y differ at their own roots. *)
   let rec go x y =
     if not (same_shape x y) then Root
-    else begin
-      let diffs = ref [] in
-      Array.iteri
-        (fun i c -> if not (equal c y.children.(i)) then diffs := i :: !diffs)
-        x.children;
-      match !diffs with
-      | [] -> Equal
-      | [ i ] -> (
-          match go x.children.(i) y.children.(i) with
-          | Root -> Subtree { parent = x; pos = i; repl = y.children.(i) }
-          | d -> d)
-      | _ -> Root
-    end
+    else
+      let xs = x.children and ys = y.children in
+      let rec rest_equal i =
+        i = Array.length xs || (equal xs.(i) ys.(i) && rest_equal (i + 1))
+      in
+      let rec first i =
+        if i = Array.length xs then Equal
+        else
+          match go xs.(i) ys.(i) with
+          | Equal -> first (i + 1)
+          | _ when not (rest_equal (i + 1)) -> Root
+          | Root -> Subtree { parent = x; pos = i; repl = ys.(i) }
+          | d -> d
+      in
+      first 0
   in
   if a.sym_id <> b.sym_id then
     error "diff: root symbols differ (%S vs %S)" a.sym b.sym

@@ -119,28 +119,6 @@ let iter_slot_args e rid f =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Growable arrays                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let grow a used need def =
-  let len = Array.length a in
-  if used + need <= len then a
-  else begin
-    let a' = Array.make (max (used + need) (2 * max 1 len)) def in
-    Array.blit a 0 a' 0 used;
-    a'
-  end
-
-let grow_bytes b need =
-  let bytes_needed = (need + 7) / 8 in
-  if Bytes.length b >= bytes_needed then b
-  else begin
-    let b' = Bytes.make (max bytes_needed (2 * max 1 (Bytes.length b))) '\000' in
-    Bytes.blit b 0 b' 0 (Bytes.length b);
-    b'
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -190,8 +168,8 @@ let resolve_node e (node : Tree.t) =
 (* Reserve table room for the rules of [node], then resolve them. *)
 let add_node e ~rules_for (node : Tree.t) =
   let i = e.e_nodes_covered in
-  e.e_rid_base <- grow e.e_rid_base (i + 1) 1 0;
-  e.e_norules <- grow_bytes e.e_norules (i + 1);
+  e.e_rid_base <- Pag_util.Grow.array e.e_rid_base (i + 1) 1 0;
+  e.e_norules <- Pag_util.Grow.bits e.e_norules (i + 1);
   e.e_rid_base.(i) <- e.e_n;
   e.e_nodes_covered <- i + 1;
   e.e_rid_base.(i + 1) <- e.e_n;
@@ -210,13 +188,13 @@ let add_node e ~rules_for (node : Tree.t) =
             (fun (d : Grammar.rref) -> if d.Grammar.rr_term then incr nt)
             r.Grammar.r_rdeps)
         p.Grammar.p_rules;
-      e.e_rules <- grow e.e_rules e.e_n nr dummy_rule;
-      e.e_node <- grow e.e_node e.e_n nr node;
-      e.e_target <- grow e.e_target e.e_n nr 0;
-      e.e_arg_off <- grow e.e_arg_off (e.e_n + 1) nr 0;
-      e.e_arg_code <- grow e.e_arg_code e.e_args !na 0;
-      e.e_consts <- grow e.e_consts e.e_nconsts !nt Value.Unit;
-      e.e_dead <- grow_bytes e.e_dead (e.e_n + nr);
+      e.e_rules <- Pag_util.Grow.array e.e_rules e.e_n nr dummy_rule;
+      e.e_node <- Pag_util.Grow.array e.e_node e.e_n nr node;
+      e.e_target <- Pag_util.Grow.array e.e_target e.e_n nr 0;
+      e.e_arg_off <- Pag_util.Grow.array e.e_arg_off (e.e_n + 1) nr 0;
+      e.e_arg_code <- Pag_util.Grow.array e.e_arg_code e.e_args !na 0;
+      e.e_consts <- Pag_util.Grow.array e.e_consts e.e_nconsts !nt Value.Unit;
+      e.e_dead <- Pag_util.Grow.bits e.e_dead (e.e_n + nr);
       resolve_node e node;
       e.e_rid_base.(i + 1) <- e.e_n
 
@@ -290,13 +268,14 @@ let materialize_subtree ?(prune = fun _ -> false) e sub =
                 (fun (d : Grammar.rref) -> if d.Grammar.rr_term then incr nt)
                 r.Grammar.r_rdeps)
             p.Grammar.p_rules;
-          e.e_rules <- grow e.e_rules e.e_n nr dummy_rule;
-          e.e_node <- grow e.e_node e.e_n nr node;
-          e.e_target <- grow e.e_target e.e_n nr 0;
-          e.e_arg_off <- grow e.e_arg_off (e.e_n + 1) nr 0;
-          e.e_arg_code <- grow e.e_arg_code e.e_args !na 0;
-          e.e_consts <- grow e.e_consts e.e_nconsts !nt Value.Unit;
-          e.e_dead <- grow_bytes e.e_dead (e.e_n + nr);
+          e.e_rules <- Pag_util.Grow.array e.e_rules e.e_n nr dummy_rule;
+          e.e_node <- Pag_util.Grow.array e.e_node e.e_n nr node;
+          e.e_target <- Pag_util.Grow.array e.e_target e.e_n nr 0;
+          e.e_arg_off <- Pag_util.Grow.array e.e_arg_off (e.e_n + 1) nr 0;
+          e.e_arg_code <- Pag_util.Grow.array e.e_arg_code e.e_args !na 0;
+          e.e_consts <-
+            Pag_util.Grow.array e.e_consts e.e_nconsts !nt Value.Unit;
+          e.e_dead <- Pag_util.Grow.bits e.e_dead (e.e_n + nr);
           e.e_rid_base.(i) <- e.e_n;
           clear_norules e i;
           resolve_node e node

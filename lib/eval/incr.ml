@@ -325,12 +325,9 @@ let replace s ~parent ~pos repl =
     fallback s ~dirty:s.s_live_rules t0
   else begin
   Store.append_subtree s.s_store repl;
-  let total = Store.slot_count s.s_store in
-  if Array.length s.s_changed < total then begin
-    let a = Array.make (max total (2 * Array.length s.s_changed)) 0 in
-    Array.blit s.s_changed 0 a 0 (Array.length s.s_changed);
-    s.s_changed <- a
-  end;
+  let len = Array.length s.s_changed in
+  s.s_changed <-
+    Pag_util.Grow.array s.s_changed len (Store.slot_count s.s_store - len) 0;
   (* Detach the old subtree's instances, append the replacement's, rewire
      the edit site. *)
   let killed = killed_rules eng old in
@@ -611,12 +608,11 @@ let edit_batch ?(domains = 1) s nexts =
       rebuild ~dirty:s.s_live_rules
     else begin
       Store.append_subtree s.s_store repl;
-      let total = Store.slot_count s.s_store in
-      if Array.length s.s_changed < total then begin
-        let a = Array.make (max total (2 * Array.length s.s_changed)) 0 in
-        Array.blit s.s_changed 0 a 0 (Array.length s.s_changed);
-        s.s_changed <- a
-      end;
+      let len = Array.length s.s_changed in
+      s.s_changed <-
+        Pag_util.Grow.array s.s_changed len
+          (Store.slot_count s.s_store - len)
+          0;
       let killed = killed_rules eng old in
       Engine.kill_subtree eng old;
       let rid_lo, rid_hi = Engine.append eng repl in

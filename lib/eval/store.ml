@@ -15,9 +15,11 @@ type t = {
   id_lo : int;  (* lowest covered node id *)
   mutable index_of : int array;
       (* (node id - id_lo) -> dense index, -1 if absent *)
+  mutable id_span : int;  (* covered id range: index_of's used prefix *)
   mutable nodes : Tree.t array;  (* dense index -> node, increasing node id *)
+  mutable n_nodes : int;  (* nodes' used prefix *)
   mutable base : int array;
-      (* dense index -> first slot id; length n_nodes + 1 *)
+      (* dense index -> first slot id; used prefix n_nodes + 1 *)
   mutable vals : Value.t array;  (* slot id -> value (valid iff bit set) *)
   mutable bits : Bytes.t;  (* slot id -> set? *)
   mutable n_sets : int;
@@ -89,7 +91,9 @@ let create_shared ?(root_inh = []) ?stop g root =
       root;
       id_lo;
       index_of;
+      id_span = span;
       nodes;
+      n_nodes = n;
       base;
       vals = Array.make total Value.Unit;
       bits = Bytes.make ((total + 7) / 8) '\000';
@@ -120,43 +124,34 @@ let create ?root_inh g root =
    they are dead weight until the next full rebuild compacts them. *)
 let append_subtree s sub =
   let node_list, n = covered_nodes sub in
-  let old_n = Array.length s.nodes in
-  let old_span = Array.length s.index_of in
-  let next_id = s.id_lo + old_span in
+  let old_n = s.n_nodes in
+  let next_id = s.id_lo + s.id_span in
   List.iteri
     (fun k (node : Tree.t) ->
       if node.Tree.id <> next_id + k then
         error "append_subtree: node id %d out of sequence (expected %d)"
           node.Tree.id (next_id + k))
     node_list;
-  let index_of = Array.make (old_span + n) (-1) in
-  Array.blit s.index_of 0 index_of 0 old_span;
-  let nodes = Array.make (old_n + n) s.root in
-  Array.blit s.nodes 0 nodes 0 old_n;
-  let base = Array.make (old_n + n + 1) 0 in
-  Array.blit s.base 0 base 0 (old_n + 1);
+  s.index_of <- Pag_util.Grow.array s.index_of s.id_span n (-1);
+  s.nodes <- Pag_util.Grow.array s.nodes old_n n s.root;
+  s.base <- Pag_util.Grow.array s.base (old_n + 1) n 0;
   List.iteri
     (fun k (node : Tree.t) ->
       let i = old_n + k in
-      index_of.(node.Tree.id - s.id_lo) <- i;
-      nodes.(i) <- node;
+      s.index_of.(node.Tree.id - s.id_lo) <- i;
+      s.nodes.(i) <- node;
       let c =
         match node.Tree.prod with
         | None -> 0
         | Some _ -> Grammar.attr_count_of_id s.g node.Tree.sym_id
       in
-      base.(i + 1) <- base.(i) + c)
+      s.base.(i + 1) <- s.base.(i) + c)
     node_list;
-  let total = base.(old_n + n) in
-  let vals = Array.make total Value.Unit in
-  Array.blit s.vals 0 vals 0 (Array.length s.vals) ;
-  let bits = Bytes.make ((total + 7) / 8) '\000' in
-  Bytes.blit s.bits 0 bits 0 (Bytes.length s.bits);
-  s.index_of <- index_of;
-  s.nodes <- nodes;
-  s.base <- base;
-  s.vals <- vals;
-  s.bits <- bits
+  let used = s.base.(old_n) and total = s.base.(old_n + n) in
+  s.vals <- Pag_util.Grow.array s.vals used (total - used) Value.Unit;
+  s.bits <- Pag_util.Grow.bits s.bits total;
+  s.id_span <- s.id_span + n;
+  s.n_nodes <- old_n + n
 
 (* ------------------------------------------------------------------ *)
 (* Slot arithmetic                                                     *)
@@ -169,7 +164,7 @@ let dense_index s (node : Tree.t) =
       node.Tree.sym
   else s.index_of.(i)
 
-let slot_count s = s.base.(Array.length s.nodes)
+let slot_count s = s.base.(s.n_nodes)
 
 let slot_of s node ~attr_idx = s.base.(dense_index s node) + attr_idx
 
@@ -210,7 +205,7 @@ let commit_slot s slot =
 (* Owner of a slot, for error messages only: the dense node index i with
    base.(i) <= slot < base.(i+1). *)
 let slot_owner s slot =
-  let lo = ref 0 and hi = ref (Array.length s.nodes - 1) in
+  let lo = ref 0 and hi = ref (s.n_nodes - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
     if s.base.(mid) <= slot then lo := mid else hi := mid - 1
@@ -273,7 +268,7 @@ let grammar s = s.g
 
 let root s = s.root
 
-let node_count s = Array.length s.nodes
+let node_count s = s.n_nodes
 
 let find_node s id =
   let i = id - s.id_lo in
@@ -417,18 +412,19 @@ let project_range s ~src_lo ~dst_lo ~len f =
 
 (* Covered nodes in dense (preorder) order — the numbering every
    graph-based evaluator shares. *)
-let iter_nodes s f = Array.iter f s.nodes
+let iter_nodes s f =
+  for i = 0 to s.n_nodes - 1 do
+    f s.nodes.(i)
+  done
 
 let iter_instances s f =
   (* [nodes] is preorder = increasing node id: deterministic. *)
-  Array.iter
-    (fun (node : Tree.t) ->
+  iter_nodes s (fun (node : Tree.t) ->
       match node.Tree.prod with
       | None -> ()
       | Some _ ->
           let sym = Grammar.symbol_of_id s.g node.Tree.sym_id in
           Array.iter (fun a -> f node a) sym.Grammar.s_attrs)
-    s.nodes
 
 let missing s =
   let n = ref 0 in

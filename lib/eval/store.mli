@@ -160,7 +160,10 @@ val redefine_slot : t -> int -> Value.t -> bool
     of a replacement subtree whose preorder ids start exactly where the
     store's covered id range ends ({!Pag_core.Tree.number_from}). Existing
     slot ids, values and bits are preserved; the detached subtree's slots
-    become dead weight until the next full rebuild. *)
+    become dead weight until the next full rebuild. The backing arrays
+    grow by doubling ({!Pag_util.Grow}), so a stream of edits copies the
+    store O(1) times amortized; {!slot_count} and {!node_count} stay the
+    used counts. *)
 val append_subtree : t -> Tree.t -> unit
 
 (** Slot id of the instance a rule defines at [node]. *)

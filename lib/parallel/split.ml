@@ -9,15 +9,19 @@ type fragment = {
 
 type work = {
   w_id : int;
-  w_root : Tree.t;
+  w_root : int;  (* preorder index of the fragment root *)
   mutable w_parent : int option;
-  mutable w_cuts : Tree.t list;
+  mutable w_cuts : int list;  (* preorder indices of the stubs *)
 }
 
 type plan = {
   frags : fragment array;
   cut_to_frag : (int, int) Hashtbl.t;
   cut_lists : int list array;
+  pre_nodes : Tree.t array;  (* preorder index -> node *)
+  pre_of : int array;  (* node id -> preorder index, -1 if absent *)
+  frag_lo : int array;  (* fragment id -> preorder interval of its root *)
+  frag_hi : int array;
 }
 
 let node_bytes node =
@@ -26,71 +30,99 @@ let node_bytes node =
       (fun a (_, v) -> a + Value.byte_size v)
       0 node.Tree.term_attrs
 
+(* The nodes in preorder, by one explicit-stack walk: every subtree is an
+   interval [i, i + count), its first child at [i + 1] and each later
+   sibling right after its predecessor's interval. *)
+let preorder tree =
+  let nodes = ref [||] and n = ref 0 in
+  let stack = ref [| tree |] and sp = ref 1 in
+  while !sp > 0 do
+    decr sp;
+    let nd = !stack.(!sp) in
+    nodes := Pag_util.Grow.array !nodes !n 1 tree;
+    !nodes.(!n) <- nd;
+    incr n;
+    let kids = nd.Tree.children in
+    stack := Pag_util.Grow.array !stack !sp (Array.length kids) tree;
+    for i = Array.length kids - 1 downto 0 do
+      !stack.(!sp) <- kids.(i);
+      incr sp
+    done
+  done;
+  Array.sub !nodes 0 !n
+
+(* Node id -> preorder index, sized by the largest id; [None] when an id
+   is negative or repeated. *)
+let index_ids nodes =
+  let max_id =
+    Array.fold_left (fun m (nd : Tree.t) -> max m nd.Tree.id) (-1) nodes
+  in
+  let pre_of = Array.make (max_id + 1) (-1) in
+  let rec go i =
+    i = Array.length nodes
+    ||
+    let id = nodes.(i).Tree.id in
+    id >= 0
+    && pre_of.(id) < 0
+    && begin
+         pre_of.(id) <- i;
+         go (i + 1)
+       end
+  in
+  if go 0 then Some pre_of else None
+
 let decompose g tree ~machines ~granularity =
   if machines < 1 then invalid_arg "Split.decompose: machines < 1";
   if granularity <= 0.0 then invalid_arg "Split.decompose: granularity <= 0";
-  (* The split algorithm wants preorder indices (every subtree is an
-     interval [i, i + count)), but it must not renumber the tree to get
-     them: an edit session re-decomposes its resident tree between edits,
-     and that tree's ids are the evaluator store's node identity. Trees
-     arriving unnumbered (or with duplicate ids) are numbered once; on an
-     already uniquely-numbered tree the ids are left alone and a side
-     table maps id -> preorder index. *)
-  let ids_unique =
-    let seen = Hashtbl.create 256 in
-    let ok = ref true in
-    Tree.iter
-      (fun nd ->
-        if nd.Tree.id < 0 || Hashtbl.mem seen nd.Tree.id then ok := false
-        else Hashtbl.add seen nd.Tree.id ())
-      tree;
-    !ok
+  (* The split algorithm wants preorder indices, but it must not renumber
+     the tree to get them: an edit session re-decomposes its resident tree
+     between edits, and that tree's ids are the evaluator store's node
+     identity. Trees arriving unnumbered (or with duplicate ids) are
+     numbered once, which makes every id its preorder index; on an already
+     uniquely-numbered tree the ids are left alone and [pre_of] maps them
+     to preorder indices. *)
+  let nodes = preorder tree in
+  let n = Array.length nodes in
+  let pre_of =
+    match index_ids nodes with
+    | Some pre_of -> pre_of
+    | None ->
+        ignore (Tree.number tree);
+        Array.init n Fun.id
   in
-  if not ids_unique then ignore (Tree.number tree);
-  let n = Tree.size tree in
-  let nodes = Array.make n tree in
-  let pre_tbl = Hashtbl.create n in
-  let next = ref 0 in
-  Tree.iter
-    (fun nd ->
-      nodes.(!next) <- nd;
-      Hashtbl.replace pre_tbl nd.Tree.id !next;
-      incr next)
-    tree;
-  let pre (nd : Tree.t) = Hashtbl.find pre_tbl nd.Tree.id in
   let counts = Array.make n 1 in
   let bytes = Array.make n 0 in
   for i = n - 1 downto 0 do
-    bytes.(i) <- node_bytes nodes.(i);
-    Array.iter
-      (fun c ->
-        counts.(i) <- counts.(i) + counts.(pre c);
-        bytes.(i) <- bytes.(i) + bytes.(pre c))
-      nodes.(i).Tree.children
+    let nd = nodes.(i) in
+    let c = ref 1 and b = ref (node_bytes nd) and j = ref (i + 1) in
+    for _ = 1 to Array.length nd.Tree.children do
+      c := !c + counts.(!j);
+      b := !b + bytes.(!j);
+      j := !j + counts.(!j)
+    done;
+    counts.(i) <- !c;
+    bytes.(i) <- !b
   done;
   let splittable i =
     let nd = nodes.(i) in
     nd.Tree.prod <> None
     &&
-    match (Grammar.symbol g nd.Tree.sym).Grammar.s_split with
+    match (Grammar.symbol_of_id g nd.Tree.sym_id).Grammar.s_split with
     | Some min_bytes ->
         float_of_int bytes.(i) >= float_of_int min_bytes *. granularity
     | None -> false
   in
   let in_subtree ~root i = i >= root && i < root + counts.(root) in
-  let works = ref [ { w_id = 0; w_root = tree; w_parent = None; w_cuts = [] } ] in
+  let works = ref [ { w_id = 0; w_root = 0; w_parent = None; w_cuts = [] } ] in
   let nfrags = ref 1 in
   let cut_bytes cuts under =
     List.fold_left
-      (fun a (c : Tree.t) ->
-        if in_subtree ~root:under (pre c) then a + bytes.(pre c) else a)
+      (fun a c -> if in_subtree ~root:under c then a + bytes.(c) else a)
       0 cuts
   in
-  let residual w =
-    bytes.(pre w.w_root) - cut_bytes w.w_cuts (pre w.w_root)
-  in
+  let residual w = bytes.(w.w_root) - cut_bytes w.w_cuts w.w_root in
   (* Ideal fragment size: machines equal shares of the whole tree. *)
-  let share = float_of_int bytes.(pre tree) /. float_of_int machines in
+  let share = float_of_int bytes.(0) /. float_of_int machines in
   (* Candidate cut inside fragment [w]: any splittable node that is not the
      fragment root and not inside an existing cut. A candidate may contain
      existing cuts: those child fragments are re-parented to the new
@@ -98,16 +130,14 @@ let decompose g tree ~machines ~granularity =
      candidate leaves the fragment with about one machine share: cut the
      node whose residual is closest to [residual w - share]. *)
   let best_candidate w =
-    let root_id = pre w.w_root in
-    let cut_ids = List.map (fun (c : Tree.t) -> pre c) w.w_cuts in
     let target =
       Float.max (share /. 2.0) (float_of_int (residual w) -. share)
     in
     let best = ref None in
-    let i = ref (root_id + 1) in
-    let stop = root_id + counts.(root_id) in
+    let i = ref (w.w_root + 1) in
+    let stop = w.w_root + counts.(w.w_root) in
     while !i < stop do
-      if List.mem !i cut_ids then
+      if List.mem !i w.w_cuts then
         (* skip the whole cut subtree: it belongs to another fragment *)
         i := !i + counts.(!i)
       else begin
@@ -133,22 +163,18 @@ let decompose g tree ~machines ~granularity =
       | [] -> continue_splitting := false
       | w :: rest when float_of_int (residual w) <= 1.15 *. share ->
           (* splitting an already share-sized fragment only adds overhead *)
-          ignore w;
           try_frags rest
       | w :: rest -> (
           match best_candidate w with
           | None -> try_frags rest
-          | Some cut_id ->
-              let cut_node = nodes.(cut_id) in
+          | Some cut ->
               let moved, kept =
-                List.partition
-                  (fun (c : Tree.t) -> in_subtree ~root:cut_id (pre c))
-                  w.w_cuts
+                List.partition (fun c -> in_subtree ~root:cut c) w.w_cuts
               in
               let nw =
                 {
                   w_id = !nfrags;
-                  w_root = cut_node;
+                  w_root = cut;
                   w_parent = Some w.w_id;
                   w_cuts = moved;
                 }
@@ -156,46 +182,50 @@ let decompose g tree ~machines ~granularity =
               (* fragments whose stub moved under the new fragment now hang
                  off it instead of off [w] *)
               List.iter
-                (fun (c : Tree.t) ->
+                (fun c ->
                   List.iter
-                    (fun w' ->
-                      if w'.w_root.Tree.id = c.Tree.id then
-                        w'.w_parent <- Some nw.w_id)
+                    (fun w' -> if w'.w_root = c then w'.w_parent <- Some nw.w_id)
                     !works)
                 moved;
-              w.w_cuts <- cut_node :: kept;
+              w.w_cuts <- cut :: kept;
               works := nw :: !works;
               incr nfrags)
     in
     try_frags sorted
   done;
-  let works = List.sort (fun a b -> compare a.w_id b.w_id) !works in
+  let works = Array.of_list !works in
+  Array.sort (fun a b -> compare a.w_id b.w_id) works;
   let frags =
-    Array.of_list
-      (List.map
-         (fun w ->
-           {
-             fr_id = w.w_id;
-             fr_root = w.w_root;
-             fr_parent = w.w_parent;
-             fr_bytes = residual w;
-           })
-         works)
+    Array.map
+      (fun w ->
+        {
+          fr_id = w.w_id;
+          fr_root = nodes.(w.w_root);
+          fr_parent = w.w_parent;
+          fr_bytes = residual w;
+        })
+      works
   in
   let cut_to_frag = Hashtbl.create 16 in
   let cut_lists = Array.make (Array.length frags) [] in
-  List.iter
+  Array.iter
     (fun w ->
+      (* every fragment but the root is rooted at one cut of its parent *)
+      if w.w_id <> 0 then
+        Hashtbl.replace cut_to_frag nodes.(w.w_root).Tree.id w.w_id;
       List.iter
-        (fun (c : Tree.t) ->
-          let owner =
-            List.find (fun w' -> w'.w_root.Tree.id = c.Tree.id) works
-          in
-          Hashtbl.replace cut_to_frag c.Tree.id owner.w_id;
-          cut_lists.(w.w_id) <- c.Tree.id :: cut_lists.(w.w_id))
+        (fun c -> cut_lists.(w.w_id) <- nodes.(c).Tree.id :: cut_lists.(w.w_id))
         w.w_cuts)
     works;
-  { frags; cut_to_frag; cut_lists }
+  {
+    frags;
+    cut_to_frag;
+    cut_lists;
+    pre_nodes = nodes;
+    pre_of;
+    frag_lo = Array.map (fun w -> w.w_root) works;
+    frag_hi = Array.map (fun w -> w.w_root + counts.(w.w_root)) works;
+  }
 
 let fragments p = p.frags
 
@@ -424,28 +454,27 @@ let dag_bytes p (sh : Tree.sharing) (f : fragment) =
 
 let fragment_of_cut_node p node_id = Hashtbl.find_opt p.cut_to_frag node_id
 
-(* The fragment whose machine evaluates [node]: reachable from the
-   fragment root without crossing into a cut stub (a stub is the next
-   fragment's root, so the deepest enclosing fragment wins). Physical
-   equality, not ids — an edit session grafts replacement nodes carrying
-   ids outside the plan's original preorder range, and those are only
-   findable under the fragment that physically contains them. *)
+(* The fragment whose machine evaluates [node]: the deepest fragment whose
+   root interval contains the node's preorder index. Fragment intervals
+   nest, and a cut stub is the next fragment's root, so the deepest one is
+   the containing interval that starts last. The id lookup is confirmed by
+   physical identity: a detached node, or one grafted after the plan was
+   made, is not in the plan's tree. *)
 let owner_of p (node : Tree.t) =
-  let rec find i =
-    if i >= Array.length p.frags then None
+  let id = node.Tree.id in
+  if id < 0 || id >= Array.length p.pre_of then None
+  else
+    let i = p.pre_of.(id) in
+    if i < 0 || p.pre_nodes.(i) != node then None
     else begin
-      let f = p.frags.(i) in
-      let cuts = p.cut_lists.(f.fr_id) in
-      let rec go n =
-        n == node
-        || Array.exists
-             (fun (c : Tree.t) -> (not (List.mem c.Tree.id cuts)) && go c)
-             n.Tree.children
-      in
-      if go f.fr_root then Some f.fr_id else find (i + 1)
+      let best = ref 0 in
+      Array.iteri
+        (fun f lo ->
+          if lo <= i && i < p.frag_hi.(f) && lo > p.frag_lo.(!best) then
+            best := f)
+        p.frag_lo;
+      Some !best
     end
-  in
-  find 0
 
 let cuts_of p frag_id = p.cut_lists.(frag_id)
 

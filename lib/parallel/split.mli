@@ -25,9 +25,11 @@ type fragment = {
 
 type plan
 
-(** [decompose g tree ~machines ~granularity]. The tree must already be
-    numbered (global node ids). [machines] ≥ 1; granularity > 0 scales every
-    split symbol's minimum size. *)
+(** [decompose g tree ~machines ~granularity]. [machines] ≥ 1; granularity
+    > 0 scales every split symbol's minimum size. A tree whose ids are
+    unique and non-negative keeps them (an edit session's resident tree);
+    any other tree is numbered ({!Tree.number}) first. One linear pass
+    builds the preorder arrays, plus the split loop's work per fragment. *)
 val decompose :
   Grammar.t -> Tree.t -> machines:int -> granularity:float -> plan
 
@@ -37,11 +39,11 @@ val fragments : plan -> fragment array
 val fragment_of_cut_node : plan -> int -> int option
 
 (** [owner_of plan node] — the fragment whose machine evaluates [node]:
-    the deepest fragment physically containing it (search stops at cut
-    stubs, which the next fragment owns). Comparison is physical, so
-    replacement subtrees grafted by an edit session are found under the
-    fragment they were grafted into; [None] when the node is not in the
-    plan's tree at all. *)
+    the deepest fragment containing it (a cut stub belongs to the next
+    fragment, whose root it is). O(fragments): the node is looked up by id
+    in the plan's preorder arrays and confirmed by physical identity, so
+    [None] when the node is not in the tree as it was decomposed (detached,
+    or grafted after the plan was made: re-decompose first). *)
 val owner_of : plan -> Tree.t -> int option
 
 (** Node ids of the stubs cut out of the given fragment. *)

@@ -190,38 +190,43 @@ let rec cursor_refill c =
         cursor_refill c
 
 let compare a b =
-  if a == b then 0
-  else if length a = 0 && length b = 0 then 0
-  else
-    let ca = cursor_of a and cb = cursor_of b in
-    let rec go () =
-      match (cursor_refill ca, cursor_refill cb) with
-      | false, false -> 0
-      | false, true -> -1
-      | true, false -> 1
-      | true, true ->
-          let n =
-            min (String.length ca.s - ca.pos) (String.length cb.s - cb.pos)
-          in
-          let rec cmp i =
-            if i = n then 0
-            else
-              let d =
-                Char.compare ca.s.[ca.pos + i] cb.s.[cb.pos + i]
-              in
-              if d <> 0 then d else cmp (i + 1)
-          in
-          let d = cmp 0 in
-          if d <> 0 then d
-          else begin
-            ca.pos <- ca.pos + n;
-            cb.pos <- cb.pos + n;
-            go ()
-          end
-    in
-    go ()
+  match (a, b) with
+  | Leaf x, Leaf y -> String.compare x y
+  | _ when a == b -> 0
+  | _ when length a = 0 && length b = 0 -> 0
+  | _ ->
+      let ca = cursor_of a and cb = cursor_of b in
+      let rec go () =
+        match (cursor_refill ca, cursor_refill cb) with
+        | false, false -> 0
+        | false, true -> -1
+        | true, false -> 1
+        | true, true ->
+            let n =
+              min (String.length ca.s - ca.pos) (String.length cb.s - cb.pos)
+            in
+            let rec cmp i =
+              if i = n then 0
+              else
+                let d =
+                  Char.compare ca.s.[ca.pos + i] cb.s.[cb.pos + i]
+                in
+                if d <> 0 then Int.compare d 0 else cmp (i + 1)
+            in
+            let d = cmp 0 in
+            if d <> 0 then d
+            else begin
+              ca.pos <- ca.pos + n;
+              cb.pos <- cb.pos + n;
+              go ()
+            end
+      in
+      go ()
 
-let equal a b = a == b || (length a = length b && compare a b = 0)
+let equal a b =
+  match (a, b) with
+  | Leaf x, Leaf y -> String.equal x y
+  | _ -> a == b || (length a = length b && compare a b = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing                                                        *)

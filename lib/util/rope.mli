@@ -42,7 +42,8 @@ val iter_chunks : (string -> unit) -> t -> unit
 val fold_chunks : ('a -> string -> 'a) -> 'a -> t -> 'a
 
 (** Content equality, without flattening either rope. Physically equal
-    ropes (e.g. interned ones) short-circuit in O(1). *)
+    ropes (e.g. interned ones) short-circuit in O(1); two leaves compare
+    as strings, allocating nothing. *)
 val equal : t -> t -> bool
 
 (** {1 Hash-consing}
@@ -69,7 +70,9 @@ val hash : t -> int
     O(distinct nodes), not O({!length}). *)
 val dag_size : t -> int
 
-(** Lexicographic content comparison. *)
+(** Lexicographic content comparison: [compare a b] =
+    [String.compare (to_string a) (to_string b)] (so -1, 0 or 1), without
+    flattening either rope; two leaves compare as strings directly. *)
 val compare : t -> t -> int
 
 (** [output oc r] writes the text of [r] to [oc] chunk by chunk. *)

@@ -147,6 +147,58 @@ let prop_assoc =
         (Rope.concat (Rope.concat a b) c)
         (Rope.concat a (Rope.concat b c)))
 
+(* Pairs of ropes of mixed shape — single leaves, and concatenations of
+   pieces long enough that short-leaf merging keeps [Cat] nodes — over a
+   two-letter alphabet {a, z}, the second content derived from the first (equal,
+   one letter flipped, a prefix, or extended) so comparisons often run
+   deep before they differ. *)
+let mixed_pair_gen =
+  let open QCheck.Gen in
+  let shape s =
+    list_size (int_bound 6) (int_bound (String.length s)) >|= fun cuts ->
+    let cuts =
+      List.sort_uniq compare
+        (List.filter (fun c -> c > 0 && c < String.length s) cuts)
+    in
+    let pieces, last =
+      List.fold_left
+        (fun (acc, lo) c -> (String.sub s lo (c - lo) :: acc, c))
+        ([], 0) cuts
+    in
+    let pieces =
+      List.rev (String.sub s last (String.length s - last) :: pieces)
+    in
+    List.fold_left (fun r p -> Rope.concat r (Rope.of_string p)) Rope.empty pieces
+  in
+  frequency [ (1, int_bound 4); (3, int_range 100 400) ] >>= fun len ->
+  string_size ~gen:(oneofl [ 'a'; 'z' ]) (return len) >>= fun a ->
+  int_bound (max 1 len) >>= fun k ->
+  oneofl
+    [
+      a;
+      (if len = 0 then "z"
+       else
+         String.mapi
+           (fun i c -> if i = k mod len then (if c = 'a' then 'z' else 'a') else c)
+           a);
+      String.sub a 0 (min k len);
+      a ^ "a";
+    ]
+  >>= fun b -> pair (shape a) (shape b)
+
+let prop_compare_exact =
+  qc "compare = String.compare of the contents (mixed shapes)"
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Printf.sprintf "%S (%d leaves) vs %S (%d leaves)" (Rope.to_string a)
+           (Rope.leaf_count a) (Rope.to_string b) (Rope.leaf_count b))
+       mixed_pair_gen)
+    (fun (a, b) ->
+      let sa = Rope.to_string a and sb = Rope.to_string b in
+      Rope.compare a b = String.compare sa sb
+      && Rope.compare b a = String.compare sb sa
+      && Rope.equal a b = String.equal sa sb)
+
 let suite =
   [
     ( "rope",
@@ -171,5 +223,6 @@ let suite =
         prop_equal_content;
         prop_compare_content;
         prop_assoc;
+        prop_compare_exact;
       ] );
   ]

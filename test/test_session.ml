@@ -3,6 +3,7 @@
    latency stay sane — references never beat full shipping on size, the
    wave touches every boundary, and a no-op edit moves nothing. *)
 
+open Pag_core
 open Pag_eval
 open Pag_grammars
 open Pag_parallel
@@ -157,6 +158,80 @@ let test_resident_store_stays_bounded () =
       (Store.slot_count (Session.store es) <= cap)
   done;
   check_bool "compaction actually triggered" true
+    ((Session.totals es).Incr.tot_fallbacks >= 1)
+
+(* Amortized store growth: every structural edit appends the replacement's
+   slots to the resident store, whose arrays grow by doubling. Over 500
+   edits cycling through structurally different bodies, the store's used
+   slot count must be exactly the running sum of appended slots (reset to
+   the live tree's slots by each compaction), stay within the resident
+   bound of 3x the live slots, and the resident code must stay
+   masked-equal to a from-scratch compile. *)
+let test_store_growth_500_edits () =
+  let g = Pascal.Pascal_ag.grammar in
+  let bodies = [| "s + i"; "s + i * 2"; "(s + 1) * i"; "s - i + 3"; "s" |] in
+  let src rhs =
+    Printf.sprintf
+      "program p;\nvar i, s : integer;\nbegin\n  s := 0;\n  i := 1;\n\
+      \  repeat\n    i := i * 2;\n    s := %s\n  until i > 100;\n\
+      \  write(s)\nend.\n"
+      rhs
+  in
+  let tree k =
+    Pascal.Pascal_ag.tree_of_program g
+      (Pascal.Parser.parse_program (src bodies.(k)))
+  in
+  (* the store's slot formula: leaves' terminal attributes take no slots *)
+  let store_slots t =
+    Tree.fold
+      (fun a (n : Tree.t) ->
+        match n.Tree.prod with
+        | None -> a
+        | Some _ -> a + Grammar.attr_count_of_id g n.Tree.sym_id)
+      0 t
+  in
+  let masked st =
+    Pascal.Driver.mask_labels
+      (Pascal.Pascal_ag.code_of_attrs (Store.root_attrs st))
+  in
+  let es =
+    Session.open_session
+      (Session.spec ~granularity:0.1 ~librarian:false 2)
+      g (tree 0)
+  in
+  let st = Random.State.make [| 15 |] in
+  let cur = ref 0 and expected = ref (Store.slot_count (Session.store es)) in
+  let appends = ref 0 in
+  for i = 1 to 500 do
+    let k = (!cur + 1 + Random.State.int st (Array.length bodies - 1)) mod Array.length bodies in
+    let next = tree k in
+    let added =
+      match Tree.diff (Session.tree es) next with
+      | Tree.Subtree { repl; _ } -> store_slots repl
+      | _ -> Alcotest.fail "expected a structural subtree edit"
+    in
+    let r = Session.edit es next in
+    cur := k;
+    if r.Session.er_fallback then expected := store_slots (Session.tree es)
+    else begin
+      incr appends;
+      expected := !expected + added
+    end;
+    let slots = Store.slot_count (Session.store es) in
+    check_int (Printf.sprintf "slot count = appended sum after edit %d" i)
+      !expected slots;
+    check_bool
+      (Printf.sprintf "store within 3x live after edit %d" i)
+      true
+      (slots <= 3 * Session.live_slots es);
+    let scratch, _ = Dynamic.eval g (tree k) in
+    check_bool
+      (Printf.sprintf "code = scratch after edit %d" i)
+      true
+      (String.equal (masked (Session.store es)) (masked scratch))
+  done;
+  check_bool "most edits appended" true (!appends > 250);
+  check_bool "compaction triggered" true
     ((Session.totals es).Incr.tot_fallbacks >= 1)
 
 (* Batched waves: same finals as serial edits, one priced wave per merged
@@ -351,6 +426,8 @@ let suite =
           test_pascal_edit_sequence;
         Alcotest.test_case "resident store stays bounded" `Quick
           test_resident_store_stays_bounded;
+        Alcotest.test_case "store growth over 500 edits" `Quick
+          test_store_growth_500_edits;
         Alcotest.test_case "batched wave" `Quick test_batched_wave;
         Alcotest.test_case "batched identity" `Quick test_batched_identity;
         Alcotest.test_case "pinned edit pricing" `Quick

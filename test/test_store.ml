@@ -143,6 +143,40 @@ let test_stub_stopped_populate () =
   check_int "root stop still allocates root's children" 2
     (Store.node_count whole - 1)
 
+(* Appending replacement subtrees grows the store's arrays by doubling:
+   after many appends the used counts are exact sums, every appended node
+   is covered, and its slots start unset and hold what is written. *)
+let test_append_growth () =
+  let g = gap_grammar in
+  let t = gap_tree () in
+  let store = Store.create g t in
+  let next = ref (Store.node_count store) in
+  let slots = ref (Store.slot_count store) in
+  let nodes = ref (Store.node_count store) in
+  for k = 1 to 300 do
+    let sub = Tree.node g "leaf" [ Tree.leaf g "T" [ ("v", Value.Int k) ] ] in
+    next := Tree.number_from sub !next;
+    Store.append_subtree store sub;
+    slots := !slots + 1;
+    nodes := !nodes + 2;
+    check_int "slot count = appended sum" !slots (Store.slot_count store);
+    check_int "node count = appended sum" !nodes (Store.node_count store);
+    check_int "appended slots unset" (2 + k) (Store.missing store);
+    check_bool "appended node covered" true
+      (match Store.find_node store sub.Tree.id with
+      | Some n -> n == sub
+      | None -> false);
+    check_bool "id past the used range not covered" true
+      (Store.find_node store !next = None)
+  done;
+  let last = Option.get (Store.find_node store (!next - 2)) in
+  Store.set store last "s" (Value.Int 42);
+  check_int "value stored past the initial capacity" 42
+    (Value.as_int ~ctx:"test" (Store.get store last "s"));
+  let visited = ref 0 in
+  Store.iter_nodes store (fun _ -> incr visited);
+  check_int "iter_nodes visits the used prefix" !nodes !visited
+
 let suite =
   [
     ( "store",
@@ -160,5 +194,7 @@ let suite =
           test_shared_fragment_ids;
         Alcotest.test_case "stub-stopped traversal" `Quick
           test_stub_stopped_populate;
+        Alcotest.test_case "append grows by doubling" `Quick
+          test_append_growth;
       ] );
   ]
