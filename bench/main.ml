@@ -107,9 +107,9 @@ let workload_name =
 
 let max_machines = if quick then 4 else 6
 
-let opts ?mode ?librarian ?priority ?granularity machines =
+let opts ?schedule ?librarian ?priority ?granularity machines =
   Session.options
-    (Session.spec ?mode ?librarian ?priority ?granularity
+    (Session.spec ?schedule ?librarian ?priority ?granularity
        ~phase_label:Driver.phase_label machines)
 
 let compile ?variant o = Driver.compile_parallel_sim ?variant o (Lazy.force workload)
@@ -126,7 +126,7 @@ let e1_figure5 () =
   let best = ref (0, infinity) in
   for m = 1 to max_machines do
     let rc, _ = compile (opts m) in
-    let rd, _ = compile (opts ~mode:`Dynamic m) in
+    let rd, _ = compile (opts ~schedule:`Dynamic m) in
     if m = 1 then begin
       seq_c := rc.Runner.r_time;
       seq_d := rd.Runner.r_time
@@ -254,7 +254,7 @@ let e7_unique_ids () =
 let e8_sequential_and_granularity () =
   sep "[E8] Sequential evaluator cost and split granularity";
   let rc, _ = compile (opts 1) in
-  let rd, _ = compile (opts ~mode:`Dynamic 1) in
+  let rd, _ = compile (opts ~schedule:`Dynamic 1) in
   Printf.printf "sequential combined (= static): %8.2fs\n" rc.Runner.r_time;
   Printf.printf "sequential dynamic:             %8.2fs (x%.2f)\n\n"
     rd.Runner.r_time

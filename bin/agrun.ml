@@ -132,6 +132,9 @@ let run_agrun builtin spec_file machines schedule show_plan profile batch
   | Compile.Scan_error msg ->
       Printf.eprintf "scan error: %s\n" msg;
       exit 1
+  | Pag_eval.Engine.Cycle msg | Pag_parallel.Worker.Stuck msg ->
+      Printf.eprintf "error: circular attribute dependencies: %s\n" msg;
+      exit 1
   | Sys_error msg ->
       Printf.eprintf "%s\n" msg;
       exit 1

@@ -511,19 +511,19 @@ let run_compiler file machines evaluator schedule transport granularity
     | None -> ());
     let src = read_file file in
     let program = Parser.parse_program src in
-    let mode = if evaluator = "dynamic" then `Dynamic else `Combined in
+    (* [-e dynamic] is another spelling of [--schedule dynamic] *)
     let schedule =
       match schedule with
       | "steal" -> `Steal
       | "dynamic" -> `Dynamic
-      | _ -> if mode = `Dynamic then `Dynamic else `Static
+      | _ -> if evaluator = "dynamic" then `Dynamic else `Static
     in
     let telemetry = trace_out <> None || events_out <> None || report in
     let provenance = explain <> None || profile || profile_json <> None in
     let compiled, trace_info, obs_data, prov_data =
       if
-        machines <= 1 && transport = "sim" && mode = `Combined
-        && schedule = `Static && faults = None
+        machines <= 1 && transport = "sim" && schedule = `Static
+        && faults = None
       then begin
         let obs =
           if telemetry then begin
@@ -563,7 +563,7 @@ let run_compiler file machines evaluator schedule transport granularity
       else begin
         let opts =
           Pag_parallel.Session.options
-            (Pag_parallel.Session.spec ~mode ~schedule ~granularity
+            (Pag_parallel.Session.spec ~schedule ~granularity
                ~librarian:(not no_librarian) ~priority:(not no_priority)
                ~dag ~telemetry ?faults
                ~phase_label:Driver.phase_label ~provenance machines)
@@ -837,7 +837,7 @@ let faults_arg =
     & info [ "faults" ] ~docv:"PLAN"
         ~doc:
           "Inject network faults, e.g. \
-           $(b,drop=0.05,dup=0.02,reorder=0.1,delay=0.01\\@0.25,crash=3\\@12.0). \
+           $(b,drop=0.05,dup=0.02,reorder=0.1,delay=0.01@0.25,crash=3@12.0). \
            Engages reliable delivery and coordinator crash recovery; forces \
            the parallel path even with -m 1.")
 

@@ -60,6 +60,39 @@ golden m3 --machines 3
 golden m3-drop --machines 3 --faults drop=0.2
 golden m4-batch2 --machines 4 --batch-edits 2
 golden m6 --machines 6
+# Golden --report transcripts on the simulator: virtual times, per-machine
+# rows, wire totals and metrics of a from-scratch parallel compile under
+# the combined, all-dynamic and DAG steal schedules and under drops must
+# match their committed copies byte for byte.
+report_golden() {
+  expected=examples/primes.report.$1.expected
+  shift
+  dune exec bin/pagc.exe -- --machines 3 "$@" --report examples/primes.pas \
+    -o /tmp/pagc_report_golden.s 2>/tmp/pagc_report_golden.err >/dev/null
+  cmp /tmp/pagc_report_golden.err "$expected"
+}
+report_golden m3
+report_golden dynamic --schedule dynamic
+report_golden steal-dag --schedule steal --dag
+report_golden drop --faults drop=0.1
+# Help text renders cleanly: no cmdliner doc-markup errors on stderr.
+dune exec bin/pagc.exe -- --help=plain >/dev/null 2>/tmp/pagc_help.err
+if [ -s /tmp/pagc_help.err ]; then
+  echo "check.sh: pagc --help wrote to stderr:" >&2
+  cat /tmp/pagc_help.err >&2
+  exit 1
+fi
+# A circular attribute grammar ends in a typed diagnostic and exit 1.
+status=0
+dune exec bin/agrun.exe -- examples/circular.ag 1 >/dev/null \
+  2>/tmp/agrun_circular.err || status=$?
+if [ "$status" -ne 1 ] || \
+  ! grep -q '^error: circular attribute dependencies: ' /tmp/agrun_circular.err
+then
+  echo "check.sh: agrun on a circular spec: exit $status" >&2
+  cat /tmp/agrun_circular.err >&2
+  exit 1
+fi
 # DAG evaluation smoke: the DAG-native steal schedule must emit the same
 # masked assembly as the sequential compile, and --explain on a DAG run
 # must verify the class-level provenance (occurrence fan-out edges)

@@ -265,6 +265,10 @@ let evaluate_parallel t opts tree =
   match t.c_plan with
   | Some plan -> Pag_parallel.Runner.run_sim opts t.c_grammar (Some plan) tree
   | None ->
-      Pag_parallel.Runner.run_sim
-        { opts with Pag_parallel.Runner.mode = `Dynamic }
-        t.c_grammar None tree
+      (* no Kastens plan: the combined schedule falls back to all-dynamic *)
+      let opts =
+        if opts.Pag_parallel.Runner.schedule = `Static then
+          { opts with Pag_parallel.Runner.schedule = `Dynamic }
+        else opts
+      in
+      Pag_parallel.Runner.run_sim opts t.c_grammar None tree

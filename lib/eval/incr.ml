@@ -451,8 +451,7 @@ let replace s ~parent ~pos repl =
   end
   end
 
-let edit s next =
-  match Tree.diff s.s_tree next with
+let apply s next = function
   | Tree.Equal ->
       (* Nothing moved; bump the epoch so stale change marks from the
          previous edit stop answering {!changed}. *)
@@ -465,6 +464,8 @@ let edit s next =
       s.s_tree <- next;
       fallback s ~dirty:s.s_live_rules t0
   | Tree.Subtree { parent; pos; repl } -> replace s ~parent ~pos repl
+
+let edit s next = apply s next (Tree.diff s.s_tree next)
 
 (* ------------------------------------------------------------------ *)
 (* Batched edits: merged cones and refire waves                        *)

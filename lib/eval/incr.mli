@@ -113,6 +113,10 @@ val prov : session -> Pag_obs.Prov.t
     grafted in — nodes of [next] outside the replacement are not used. *)
 val edit : session -> Tree.t -> edit_stats
 
+(** [apply session next delta] is {!edit} with the diff already taken:
+    [delta] must be [Tree.diff (tree session) next]. *)
+val apply : session -> Tree.t -> Tree.delta -> edit_stats
+
 (** [replace session ~parent ~pos repl] is the primitive edit: graft
     [repl] (an unnumbered tree) as child [pos] of [parent] (a node of the
     session's tree) and re-evaluate incrementally. *)

@@ -4,7 +4,6 @@ open Netsim
 
 type options = {
   machines : int;
-  mode : Worker.mode;
   schedule : [ `Static | `Dynamic | `Steal ];
   granularity : float;
   use_priority : bool;
@@ -20,7 +19,6 @@ type options = {
 let default_options =
   {
     machines = 1;
-    mode = `Combined;
     schedule = `Static;
     granularity = 1.0;
     use_priority = true;
@@ -58,32 +56,16 @@ let machine_name ~fragments id =
     Printf.sprintf "eval-%c" (Char.chr (Char.code 'a' + id - 1))
   else "librarian"
 
-let worker_config opts g plan =
-  {
-    Worker.wc_grammar = g;
-    wc_plan = plan;
-    wc_mode = opts.mode;
-    wc_cost = opts.cost;
-    wc_use_priority = opts.use_priority;
-    wc_librarian = None (* patched per run: librarian machine id *);
-    wc_phase_label = opts.phase_label;
-    wc_obs = Obs.null_ctx (* patched per run: per-machine context *);
-    wc_sharing = None (* patched per run: tree-sharing classes *);
-    wc_prov = Prov.disabled (* patched per run: per-machine ring *);
-    wc_prov_dwell = true;
-    wc_engine_hook = ignore (* patched per run: engine capture *);
-  }
-
-let make_task plan (f : Split.fragment) nodes_by_id =
+(* The task of the evaluator for fragment [f]. Each cut stub is the root
+   of the fragment evaluated past it. *)
+let make_task plan (f : Split.fragment) =
+  let frags = Split.fragments plan in
   let cuts =
     List.map
       (fun cut_id ->
-        let frag =
-          match Split.fragment_of_cut_node plan cut_id with
-          | Some fr -> fr
-          | None -> assert false
-        in
-        (Hashtbl.find nodes_by_id cut_id, frag + 1))
+        match Split.fragment_of_cut_node plan cut_id with
+        | Some fr -> (frags.(fr).Split.fr_root, fr + 1)
+        | None -> assert false)
       (Split.cuts_of plan f.Split.fr_id)
   in
   {
@@ -92,38 +74,37 @@ let make_task plan (f : Split.fragment) nodes_by_id =
     t_cuts = cuts;
     t_parent_machine =
       (match f.Split.fr_parent with None -> 0 | Some p -> p + 1);
-    t_root_is_tree_root = f.Split.fr_id = 0;
   }
 
-let dynamic_fraction stats =
-  let dyn =
-    Array.fold_left (fun a s -> a + s.Worker.ws_dynamic_rules) 0 stats
-  in
-  let st = Array.fold_left (fun a s -> a + s.Worker.ws_static_rules) 0 stats in
-  if dyn + st = 0 then 0.0 else float_of_int dyn /. float_of_int (dyn + st)
-
-let prepare opts g tree =
-  let plan = Split.decompose g tree ~machines:opts.machines ~granularity:opts.granularity in
-  let nodes_by_id = Hashtbl.create 1024 in
-  Tree.iter (fun n -> Hashtbl.replace nodes_by_id n.Tree.id n) tree;
-  (plan, nodes_by_id)
-
 let sum_retransmits links =
-  List.fold_left (fun a l -> a + (Reliable.stats l).Reliable.rs_retransmits) 0 links
+  Array.fold_left
+    (fun a -> function
+      | Some l -> a + (Reliable.stats l).Reliable.rs_retransmits
+      | None -> a)
+    0 links
 
 (* ------------------------- telemetry ------------------------- *)
-
-let mode_string = function `Combined -> "combined" | `Dynamic -> "dynamic"
 
 let run_label opts ~transport =
   let kind =
     match opts.schedule with
+    | `Static -> "combined"
+    | `Dynamic -> "dynamic"
     | `Steal -> "steal"
-    | `Static | `Dynamic -> mode_string opts.mode
   in
   Printf.sprintf "%s, %d machine%s (%s)" kind opts.machines
     (if opts.machines = 1 then "" else "s")
     transport
+
+(* Semantic rule instances in the tree: a from-scratch run fires each
+   once. *)
+let rule_instances tree =
+  Tree.fold
+    (fun acc (nd : Tree.t) ->
+      match nd.Tree.prod with
+      | None -> acc
+      | Some p -> acc + Array.length p.Grammar.p_rules)
+    0 tree
 
 (* Per-machine telemetry contexts. Each slot is written by exactly one
    machine (its own), so an array is race-free on the domains transport;
@@ -143,15 +124,7 @@ let make_provs opts g ~tree ~n =
        deliberately under the likely final count — doubling once from a
        near miss costs one small blit, while over-provisioning n machines
        pays for zeroing arrays nothing ever writes. *)
-    let total =
-      Tree.fold
-        (fun acc nd ->
-          match nd.Tree.prod with
-          | None -> acc
-          | Some p -> acc + Array.length p.Grammar.p_rules)
-        0 tree
-    in
-    let hint = total / max 1 (n - 2) in
+    let hint = rule_instances tree / max 1 (n - 2) in
     let arity = Pag_eval.Causal.arity_for g in
     Array.init n (fun _ -> Prov.create ~hint ~arity ())
   end
@@ -166,11 +139,6 @@ let collect_prov opts provs engs =
         | Some e when Prov.enabled provs.(i) -> Some (provs.(i), e)
         | _ -> None)
       (List.init (Array.length engs) Fun.id)
-
-let merged_metrics ctxs =
-  let reg = Obs.Metrics.create () in
-  Array.iter (fun c -> Obs.Metrics.merge ~into:reg c.Obs.x_metrics) ctxs;
-  reg
 
 (* Re-express the simulator's own trace in telemetry terms: message arrows
    become flow events, idle segments become "idle" spans, phase marks
@@ -189,29 +157,65 @@ let recorder_of_trace tr =
       Obs.instant r ~pid:m.Trace.mk_pid ~t:m.Trace.mk_time m.Trace.mk_label);
   r
 
-let merge_recorders ctxs extra =
-  let rs = Array.to_list (Array.map (fun c -> c.Obs.x_rec) ctxs) in
-  Obs.merge (extra @ rs)
+(* What a transport reports after a run: the report's time axis and
+   machine rows, wire totals, and the network-level artefacts. *)
+type outcome = {
+  oc_horizon : float;
+  oc_rows : Obs.Report.machine list;
+  oc_messages : int;
+  oc_bytes : int;
+  oc_trace : Trace.t option;
+  oc_faults : Faults.stats option;
+}
 
-let build_report ~label ~clock ~horizon ~machines ~worker_stats ~messages
-    ~bytes ~retransmits ~metrics =
-  let dyn =
-    Array.fold_left (fun a s -> a + s.Worker.ws_dynamic_rules) 0 worker_stats
-  in
-  let st =
-    Array.fold_left (fun a s -> a + s.Worker.ws_static_rules) 0 worker_stats
+(* Every run path ends here: the report, the merged telemetry and the
+   dynamic fraction are derived from the same worker statistics and
+   outcome, so no path can disagree with another on them. *)
+let assemble opts ~transport ~ctxs ~split ~fragments ~worker_stats ~attrs
+    ~time ?(retransmits = 0) ?(recovered = false) ~prov oc tree =
+  let sum f = Array.fold_left (fun a s -> a + f s) 0 worker_stats in
+  let dyn = sum (fun s -> s.Worker.ws_dynamic_rules) in
+  let st = sum (fun s -> s.Worker.ws_static_rules) in
+  let metrics = Obs.Metrics.create () in
+  Array.iter (fun c -> Obs.Metrics.merge ~into:metrics c.Obs.x_metrics) ctxs;
+  let r_obs =
+    if opts.telemetry then
+      let net = Option.to_list (Option.map recorder_of_trace oc.oc_trace) in
+      let machines = Array.to_list (Array.map (fun c -> c.Obs.x_rec) ctxs) in
+      Some (Obs.merge (net @ machines))
+    else None
   in
   {
-    Obs.Report.rp_label = label;
-    rp_clock = clock;
-    rp_horizon = horizon;
-    rp_machines = machines;
-    rp_dynamic_rules = dyn;
-    rp_static_rules = st;
-    rp_messages = messages;
-    rp_bytes = bytes;
-    rp_retransmits = retransmits;
-    rp_metrics = metrics;
+    r_attrs = attrs;
+    r_time = time;
+    r_worker_stats = worker_stats;
+    r_trace = oc.oc_trace;
+    r_messages = oc.oc_messages;
+    r_bytes = oc.oc_bytes;
+    r_fragments = fragments;
+    r_split = split;
+    r_dynamic_fraction =
+      (if dyn + st = 0 then 0.0
+       else float_of_int dyn /. float_of_int (dyn + st));
+    r_retransmits = retransmits;
+    r_recovered = recovered;
+    r_fault_stats = oc.oc_faults;
+    r_obs;
+    r_report =
+      {
+        Obs.Report.rp_label = run_label opts ~transport;
+        rp_clock = (if transport = "sim" then "simulated" else "wall clock");
+        rp_horizon = oc.oc_horizon;
+        rp_machines = oc.oc_rows;
+        rp_dynamic_rules = dyn;
+        rp_static_rules = st;
+        rp_messages = oc.oc_messages;
+        rp_bytes = oc.oc_bytes;
+        rp_retransmits = retransmits;
+        rp_metrics = metrics;
+      };
+    r_prov = prov;
+    r_tree = tree;
   }
 
 (* A worker that never reported under fault injection was crashed or called
@@ -238,6 +242,124 @@ let steal_metrics obs ~idle (st : Steal.stats) =
       (float_of_int st.Steal.st_hwm);
     Obs.Metrics.add_gauge reg idle st.Steal.st_idle
   end
+
+(* ------------------------- the fragment protocol ------------------------- *)
+
+(* What differs between the transports the fragment protocol runs on.
+   {!run_protocol} writes everything else once: delivery wrapping, worker
+   configuration, coordinator recovery and result assembly. *)
+type backend = {
+  bk_transport : string;  (** "sim" or "domains", for the report *)
+  bk_env : int -> Transport.env;  (** a machine's raw environment *)
+  bk_launch : (int * (unit -> unit)) list -> unit;
+      (** runs the machine bodies (pid 0, the coordinator, first) and
+          returns when they have all returned *)
+  bk_clock : unit -> float;
+  bk_rto : float;
+  bk_max_tries : int;
+  bk_watchdog : float;
+  bk_prov_dwell : bool;
+      (** price firing durations from the cost model (virtual clocks) *)
+  bk_finish : pids:int -> Worker.stats array -> outcome;
+}
+
+(* The paper's protocol — parser/coordinator, one evaluator per fragment,
+   optional string librarian — on the backend [mk] builds for the split. *)
+let run_protocol mk opts g plan tree =
+  let split =
+    Split.decompose g tree ~machines:opts.machines
+      ~granularity:opts.granularity
+  in
+  (* Sharing classes are computed once on the numbered tree; the immutable
+     arrays are read concurrently by every machine's subtree memo. *)
+  let sharing = if opts.use_dag then Some (Tree.sharing tree) else None in
+  let nfrags = Split.count split in
+  let librarian = if opts.use_librarian then Some (nfrags + 1) else None in
+  let n = nfrags + 2 in
+  let bk = mk opts tree ~nfrags in
+  let faulty = Option.is_some opts.faults in
+  let ctxs = make_ctxs opts ~n ~clock:bk.bk_clock in
+  let provs = make_provs opts g ~tree ~n in
+  let prov_engs = Array.make n None in
+  (* With a fault plan — even an all-zero one, for overhead measurement —
+     every machine talks through its own reliable-delivery layer.
+     Interning sits above reliable delivery: binds and references are
+     retransmitted like any payload, backfills cover reordering. *)
+  let links = Array.make n None in
+  let envs =
+    Array.init n (fun id ->
+        let obs = ctxs.(id) in
+        let raw = bk.bk_env id in
+        let base =
+          if faulty then begin
+            let l =
+              Reliable.wrap ~obs ~rto:bk.bk_rto ~max_tries:bk.bk_max_tries raw
+            in
+            links.(id) <- Some l;
+            Reliable.env l
+          end
+          else raw
+        in
+        if opts.use_dag then Intern.env (Intern.wrap ~obs base) else base)
+  in
+  let attrs = ref [] and recovered = ref false and finish = ref 0.0 in
+  let coordinator () =
+    let recovery =
+      Option.map
+        (fun link ->
+          {
+            Coordinator.rc_link = link;
+            rc_kplan = plan;
+            rc_cost = opts.cost;
+            rc_watchdog = bk.bk_watchdog;
+          })
+        links.(0)
+    in
+    let a, r =
+      Coordinator.run ~obs:ctxs.(0) ?recovery ?sharing envs.(0) g ~tree
+        ~plan:split ~librarian
+    in
+    attrs := a;
+    recovered := r;
+    finish := bk.bk_clock ()
+  in
+  let stats = Array.make nfrags None in
+  let evaluator (f : Split.fragment) =
+    let pid = f.Split.fr_id + 1 in
+    let cfg =
+      {
+        Worker.wc_grammar = g;
+        wc_plan = plan;
+        wc_mode = (if opts.schedule = `Dynamic then `Dynamic else `Combined);
+        wc_cost = opts.cost;
+        wc_use_priority = opts.use_priority;
+        wc_librarian = librarian;
+        wc_phase_label = opts.phase_label;
+        wc_obs = ctxs.(pid);
+        wc_sharing = sharing;
+        wc_prov = provs.(pid);
+        wc_prov_dwell = bk.bk_prov_dwell;
+        wc_engine_hook = (fun e -> prov_engs.(pid) <- Some e);
+      }
+    in
+    let task = make_task split f in
+    (pid, fun () -> stats.(pid - 1) <- Some (Worker.run envs.(pid) cfg task))
+  in
+  let librarian_body lid =
+    (lid, fun () -> Librarian.run ~obs:ctxs.(lid) envs.(lid) ~coordinator:0)
+  in
+  bk.bk_launch
+    (((0, coordinator)
+     :: Array.to_list (Array.map evaluator (Split.fragments split)))
+    @ Option.to_list (Option.map librarian_body librarian));
+  let worker_stats = collect_worker_stats ~faulty stats in
+  let pids = if librarian = None then nfrags + 1 else nfrags + 2 in
+  assemble opts ~transport:bk.bk_transport ~ctxs ~split ~fragments:nfrags
+    ~worker_stats ~attrs:!attrs ~time:!finish
+    ~retransmits:(sum_retransmits links) ~recovered:!recovered
+    ~prov:(collect_prov opts provs prov_engs)
+    (bk.bk_finish ~pids worker_stats)
+    tree
 
 (* ------------------------- simulation ------------------------- *)
 
@@ -267,16 +389,8 @@ let sim_watchdog = 0.5
    paper-scale Pascal workload this lands at the 5s / 20s that E10 used to
    hand-tune; on the test fixtures both floors win. *)
 let auto_timeouts opts tree =
-  let rules =
-    Tree.fold
-      (fun acc (n : Tree.t) ->
-        match n.Tree.prod with
-        | None -> acc
-        | Some p -> acc + Array.length p.Grammar.p_rules)
-      0 tree
-  in
   let phase =
-    float_of_int rules *. opts.cost.Cost.static_rule
+    float_of_int (rule_instances tree) *. opts.cost.Cost.static_rule
     /. float_of_int (max 1 opts.machines)
   in
   let rto = Float.max sim_rto (phase /. 4.0) in
@@ -299,186 +413,95 @@ let sim_env sim id =
     e_flush = (fun () -> ());
   }
 
-let run_sim_static opts g plan tree =
-  let split, nodes_by_id = prepare opts g tree in
-  (* Sharing classes are computed once on the numbered tree; the immutable
-     arrays are read concurrently by every machine's subtree memo. *)
-  let sharing = if opts.use_dag then Some (Tree.sharing tree) else None in
-  let nfrags = Split.count split in
-  let librarian_id = if opts.use_librarian then Some (nfrags + 1) else None in
-  let sim = S.create () in
-  Option.iter (S.set_faults sim) opts.faults;
-  let faulty = Option.is_some opts.faults in
-  let rto, watchdog = auto_timeouts opts tree in
-  let ctxs = make_ctxs opts ~n:(nfrags + 2) ~clock:(fun () -> S.time ()) in
-  let provs = make_provs opts g ~tree ~n:(nfrags + 2) in
-  let prov_engs = Array.make (nfrags + 2) None in
-  (* With a fault plan — even an all-zero one, for overhead measurement —
-     every machine talks through its own reliable-delivery layer. *)
-  let links = ref [] in
-  let machine_env id =
-    let obs = ctxs.(id) in
-    let raw = sim_env sim id in
-    let base, link =
-      if faulty then begin
-        let l = Reliable.wrap ~obs ~rto ~max_tries:sim_max_tries raw in
-        links := l :: !links;
-        (Reliable.env l, Some l)
-      end
-      else (raw, None)
-    in
-    (* Interning sits above reliable delivery: binds and references are
-       retransmitted like any payload, backfills cover reordering. *)
-    let env =
-      if opts.use_dag then Intern.env (Intern.wrap ~obs base) else base
-    in
-    (env, link, obs)
-  in
-  let stats = Array.make nfrags None in
-  let attrs = ref [] in
-  let recovered = ref false in
-  let finish = ref 0.0 in
-  (* pid 0: coordinator *)
-  let coord_env, coord_link, coord_obs = machine_env 0 in
-  let recovery =
-    Option.map
-      (fun link ->
-        {
-          Coordinator.rc_link = link;
-          rc_kplan = plan;
-          rc_cost = opts.cost;
-          rc_watchdog = watchdog;
-        })
-      coord_link
-  in
-  let _ =
-    S.spawn sim ~name:"parser" (fun () ->
-        let a, rec_ =
-          Coordinator.run ~obs:coord_obs ?recovery ?sharing coord_env g ~tree
-            ~plan:split ~librarian:librarian_id
-        in
-        attrs := a;
-        recovered := rec_;
-        finish := S.time ())
-  in
-  (* pids 1..nfrags: evaluators *)
-  Array.iter
-    (fun (f : Split.fragment) ->
-      let id = f.Split.fr_id in
-      let env, _, wobs = machine_env (id + 1) in
-      let _ =
-        S.spawn sim
-          ~name:(machine_name ~fragments:nfrags (id + 1))
-          (fun () ->
-            let cfg =
-              { (worker_config opts g plan) with
-                Worker.wc_librarian = librarian_id;
-                wc_obs = wobs;
-                wc_sharing = sharing;
-                wc_prov = provs.(id + 1);
-                wc_engine_hook = (fun e -> prov_engs.(id + 1) <- Some e);
-              }
-            in
-            stats.(id) <- Some (Worker.run env cfg (make_task split f nodes_by_id)))
-      in
-      ())
-    (Split.fragments split);
-  (* librarian *)
-  (match librarian_id with
-  | Some lid ->
-      let env, _, lobs = machine_env lid in
-      let _ =
-        S.spawn sim ~name:"librarian" (fun () ->
-            Librarian.run ~obs:lobs env ~coordinator:0)
-      in
-      ()
-  | None -> ());
-  S.run sim;
-  let worker_stats = collect_worker_stats ~faulty stats in
+(* The simulator's outcome: machine rows read off the trace, wire totals
+   off the shared Ethernet. [sends pid] counts a machine's boundary
+   messages. *)
+let sim_outcome sim ~fragments ~pids ~sends faults =
   let net = S.network sim in
   let tr = S.trace sim in
   let horizon = Trace.horizon tr in
-  let npids = nfrags + 1 + (match librarian_id with Some _ -> 1 | None -> 0) in
-  (* Boundary messages originated per machine, acks included: read off the
-     trace so parser and librarian are covered too. *)
-  let arrow_sends = Array.make (nfrags + 2) 0 in
-  Trace.iter_arrows tr (fun (a : Trace.arrow) ->
-      if a.Trace.ar_src >= 0 && a.Trace.ar_src < Array.length arrow_sends then
-        arrow_sends.(a.Trace.ar_src) <- arrow_sends.(a.Trace.ar_src) + 1);
-  let machine_rows =
-    List.init npids (fun pid ->
-        let active = Trace.active_time tr ~pid in
-        {
-          Obs.Report.rm_pid = pid;
-          rm_name = machine_name ~fragments:nfrags pid;
-          rm_active = active;
-          rm_idle = Float.max 0.0 (horizon -. active);
-          rm_util = Trace.utilization tr ~pid;
-          rm_sends = arrow_sends.(pid);
-          rm_max_queue = S.max_queue_depth sim pid;
-        })
-  in
-  let metrics = merged_metrics ctxs in
-  let report =
-    build_report
-      ~label:(run_label opts ~transport:"sim")
-      ~clock:"simulated" ~horizon ~machines:machine_rows ~worker_stats
-      ~messages:(Ethernet.messages_sent net) ~bytes:(Ethernet.bytes_sent net)
-      ~retransmits:(sum_retransmits !links) ~metrics
-  in
-  let r_obs =
-    if opts.telemetry then Some (merge_recorders ctxs [ recorder_of_trace tr ])
-    else None
-  in
   {
-    r_attrs = !attrs;
-    r_time = !finish;
-    r_worker_stats = worker_stats;
-    r_trace = Some tr;
-    r_messages = Ethernet.messages_sent net;
-    r_bytes = Ethernet.bytes_sent net;
-    r_fragments = nfrags;
-    r_split = split;
-    r_dynamic_fraction = dynamic_fraction worker_stats;
-    r_retransmits = sum_retransmits !links;
-    r_recovered = !recovered;
-    r_fault_stats = S.fault_stats sim;
-    r_obs;
-    r_report = report;
-    r_prov = collect_prov opts provs prov_engs;
-    r_tree = tree;
+    oc_horizon = horizon;
+    oc_rows =
+      List.init pids (fun pid ->
+          let active = Trace.active_time tr ~pid in
+          {
+            Obs.Report.rm_pid = pid;
+            rm_name = machine_name ~fragments pid;
+            rm_active = active;
+            rm_idle = Float.max 0.0 (horizon -. active);
+            rm_util = Trace.utilization tr ~pid;
+            rm_sends = sends pid;
+            rm_max_queue = S.max_queue_depth sim pid;
+          });
+    oc_messages = Ethernet.messages_sent net;
+    oc_bytes = Ethernet.bytes_sent net;
+    oc_trace = Some tr;
+    oc_faults = faults;
   }
 
-(* ------------------------- work stealing (sim) ------------------------- *)
+let sim_backend opts tree ~nfrags =
+  let sim = S.create () in
+  Option.iter (S.set_faults sim) opts.faults;
+  let rto, watchdog = auto_timeouts opts tree in
+  {
+    bk_transport = "sim";
+    bk_env = sim_env sim;
+    bk_launch =
+      (fun bodies ->
+        List.iter
+          (fun (pid, body) ->
+            let name = machine_name ~fragments:nfrags pid in
+            ignore (S.spawn sim ~name body))
+          bodies;
+        S.run sim);
+    bk_clock = (fun () -> S.time ());
+    bk_rto = rto;
+    bk_max_tries = sim_max_tries;
+    bk_watchdog = watchdog;
+    bk_prov_dwell = true;
+    bk_finish =
+      (fun ~pids _ ->
+        (* Boundary messages originated per machine, acks included: read
+           off the trace so parser and librarian are covered too. *)
+        let sends = Array.make (nfrags + 2) 0 in
+        Trace.iter_arrows (S.trace sim) (fun (a : Trace.arrow) ->
+            let src = a.Trace.ar_src in
+            if src >= 0 && src < Array.length sends then
+              sends.(src) <- sends.(src) + 1);
+        sim_outcome sim ~fragments:nfrags ~pids
+          ~sends:(fun pid -> sends.(pid))
+          (S.fault_stats sim));
+  }
+
+(* ------------------------- work stealing ------------------------- *)
 
 module ESt = Pag_eval.Store
 module Eng = Pag_eval.Engine
 
-(* Dense node index -> owning fragment id, from the Split placement. Each
-   fragment claims its subtree, stopping above cut children (they are
-   other fragments' roots and claim themselves). *)
-let fragment_affinity split store =
-  let owner = Array.make (max 1 (ESt.node_count store)) 0 in
-  let is_cut (n : Tree.t) =
-    Split.fragment_of_cut_node split n.Tree.id <> None
+(* The fragment whose machine owns a rule instance in the Split
+   placement; the steal schedules seed each instance there. *)
+let fragment_of split eng rid =
+  Option.value ~default:0 (Split.owner_of split (Eng.node_of eng rid))
+
+(* What both steal schedules run on: the Split placement that seeds
+   affinity and one engine shared by every machine. With [--dag] the
+   shared DAG is the evaluation substrate: repeated subtrees get one
+   rule-instance set per (class × inherited fingerprint), parked
+   occurrences own no instances at all, and their synthesized attributes
+   arrive by projection when the leader's region completes. *)
+let steal_substrate opts g tree =
+  let split =
+    Split.decompose g tree ~machines:opts.machines
+      ~granularity:opts.granularity
   in
-  Array.iter
-    (fun (f : Split.fragment) ->
-      let stack = ref [ f.Split.fr_root ] in
-      let rec drain () =
-        match !stack with
-        | [] -> ()
-        | n :: rest ->
-            stack := rest;
-            owner.(ESt.dense_index store n) <- f.Split.fr_id;
-            Array.iter
-              (fun c -> if not (is_cut c) then stack := c :: !stack)
-              n.Tree.children;
-            drain ()
-      in
-      drain ())
-    (Split.fragments split);
-  owner
+  let store = ESt.create_shared g tree in
+  let dag = if opts.use_dag then Some (Tree.dag tree) else None in
+  let dplan = Option.map (Pag_eval.Dag.plan g store) dag in
+  let eng =
+    Eng.create ?rules_for:(Option.map Pag_eval.Dag.rules_for dplan) g store
+  in
+  (split, store, dag, dplan, eng)
 
 (* Steal-probe wire sizes: a request is one small frame, a reply carries
    the stolen instance ids. *)
@@ -502,26 +525,15 @@ let probe_reply_bytes k = 32 + (8 * k)
    paid twice; crashes are a static-protocol notion and are ignored —
    DESIGN §11 discusses why). *)
 let run_sim_steal opts g tree =
-  let split, _nodes_by_id = prepare opts g tree in
   let m = max 1 opts.machines in
   let sim = S.create () in
   let net = S.network sim in
   let injector = Option.map Faults.make opts.faults in
-  let store = ESt.create_shared g tree in
-  (* With [--dag] the shared DAG is the evaluation substrate: repeated
-     subtrees get one rule-instance set per (class × inherited
-     fingerprint), parked occurrences own no instances at all, and their
-     synthesized attributes arrive by projection when the leader's region
-     completes. The steal scheduler drains the same deques; the DAG
-     runtime only adds work through the two hooks below (projection
-     releases consumers, materialization seeds fresh instances). *)
-  let dag = if opts.use_dag then Some (Tree.dag tree) else None in
-  let dplan =
-    Option.map (fun d -> Pag_eval.Dag.plan g store d) dag
-  in
-  let eng =
-    Eng.create ?rules_for:(Option.map Pag_eval.Dag.rules_for dplan) g store
-  in
+  (* The steal scheduler drains the same deques with or without the DAG;
+     the DAG runtime only adds work through the two hooks below
+     (projection releases consumers, materialization seeds fresh
+     instances). *)
+  let split, store, dag, dplan, eng = steal_substrate opts g tree in
   (* One ring for the shared engine: machine fibers are cooperative on one
      OS thread, so retargeting the pid before each fire is race-free.
      Durations are priced at the steal-rule cost — the virtual clock
@@ -538,11 +550,8 @@ let run_sim_steal opts g tree =
       eng prov;
   let gr = Eng.graph eng in
   let n = Eng.rule_count eng in
-  let node_frag = fragment_affinity split store in
   let machine_of_frag f = (f mod m) + 1 in
-  let owner_machine rid =
-    machine_of_frag node_frag.(ESt.dense_index store (Eng.node_of eng rid))
-  in
+  let owner_machine rid = machine_of_frag (fragment_of split eng rid) in
   (* readiness: plain counters — all fibers share one OS thread. The
      array is growable because DAG materialization appends instances. *)
   let waiting = ref (Array.make (max 1 n) 0) in
@@ -859,63 +868,26 @@ let run_sim_steal opts g tree =
           ws_idle_wait = st.Steal.st_idle;
         })
   in
-  let tr = S.trace sim in
-  let horizon = Trace.horizon tr in
-  let machine_rows =
-    List.init (m + 1) (fun pid ->
-        let active = Trace.active_time tr ~pid in
-        {
-          Obs.Report.rm_pid = pid;
-          rm_name = machine_name ~fragments:m pid;
-          rm_active = active;
-          rm_idle = Float.max 0.0 (horizon -. active);
-          rm_util = Trace.utilization tr ~pid;
-          rm_sends = (if pid = 0 then m else sends.(pid));
-          rm_max_queue = S.max_queue_depth sim pid;
-        })
-  in
-  let metrics = merged_metrics ctxs in
-  let report =
-    build_report
-      ~label:(run_label opts ~transport:"sim")
-      ~clock:"simulated" ~horizon ~machines:machine_rows ~worker_stats
-      ~messages:(Ethernet.messages_sent net) ~bytes:(Ethernet.bytes_sent net)
-      ~retransmits:0 ~metrics
-  in
-  let r_obs =
-    if opts.telemetry then Some (merge_recorders ctxs [ recorder_of_trace tr ])
-    else None
-  in
-  {
-    r_attrs = !attrs;
-    r_time = !finish;
-    r_worker_stats = worker_stats;
-    r_trace = Some tr;
-    r_messages = Ethernet.messages_sent net;
-    r_bytes = Ethernet.bytes_sent net;
-    r_fragments = m;
-    r_split = split;
-    r_dynamic_fraction = 1.0;
-    r_retransmits = 0;
-    r_recovered = false;
-    r_fault_stats = Option.map Faults.stats injector;
-    r_obs;
-    r_report = report;
-    r_prov = (if opts.provenance then [ (prov, eng) ] else []);
-    r_tree = tree;
-  }
+  assemble opts ~transport:"sim" ~ctxs ~split ~fragments:m ~worker_stats
+    ~attrs:!attrs ~time:!finish
+    ~prov:(if opts.provenance then [ (prov, eng) ] else [])
+    (sim_outcome sim ~fragments:m ~pids:(m + 1)
+       ~sends:(fun pid -> if pid = 0 then m else sends.(pid))
+       (Option.map Faults.stats injector))
+    tree
 
 let run_sim opts g plan tree =
   match opts.schedule with
   | `Steal -> run_sim_steal opts g tree
-  | `Static | `Dynamic -> run_sim_static opts g plan tree
+  | `Static | `Dynamic -> run_protocol sim_backend opts g plan tree
 
 (* ------------------------- domains ------------------------- *)
 
 module Chan = struct
   type 'a t = { q : 'a Queue.t; m : Mutex.t; c : Condition.t }
 
-  let create () = { q = Queue.create (); m = Mutex.create (); c = Condition.create () }
+  let create () =
+    { q = Queue.create (); m = Mutex.create (); c = Condition.create () }
 
   let push t v =
     Mutex.lock t.m;
@@ -959,6 +931,43 @@ let dom_rto = 0.02
 
 let dom_watchdog = 0.2
 
+let dom_max_tries = 6
+
+(* A wall-clock outcome. There is no network trace on domains: worker
+   idle-wait measurements stand in for activity segments, and parser and
+   librarian utilization is unknown. *)
+let wall_outcome ~fragments ~pids ~horizon worker_stats faults =
+  {
+    oc_horizon = horizon;
+    oc_rows =
+      List.init pids (fun pid ->
+          let active, idle, util, sends =
+            if pid >= 1 && pid <= fragments then begin
+              let s = worker_stats.(pid - 1) in
+              let idle = Float.min horizon s.Worker.ws_idle_wait in
+              let active = Float.max 0.0 (horizon -. idle) in
+              ( active,
+                idle,
+                (if horizon > 0.0 then active /. horizon else 0.0),
+                s.Worker.ws_sends )
+            end
+            else (0.0, horizon, 0.0, 0)
+          in
+          {
+            Obs.Report.rm_pid = pid;
+            rm_name = machine_name ~fragments pid;
+            rm_active = active;
+            rm_idle = idle;
+            rm_util = util;
+            rm_sends = sends;
+            rm_max_queue = -1;
+          });
+    oc_messages = 0;
+    oc_bytes = 0;
+    oc_trace = None;
+    oc_faults = faults;
+  }
+
 (* Work-stealing evaluation on real domains: delegate the whole schedule
    to {!Pag_eval.Engine.run_steal}, with owner affinity from the Split
    placement. The CPU does the actual work, so no cost model applies;
@@ -966,16 +975,8 @@ let dom_watchdog = 0.2
    through metrics only. *)
 let run_domains_steal opts g tree =
   let t0 = Unix.gettimeofday () in
-  let split, _nodes_by_id = prepare opts g tree in
   let m = max 1 opts.machines in
-  let store = ESt.create_shared g tree in
-  let dplan =
-    if opts.use_dag then Some (Pag_eval.Dag.plan g store (Tree.dag tree))
-    else None
-  in
-  let eng =
-    Eng.create ?rules_for:(Option.map Pag_eval.Dag.rules_for dplan) g store
-  in
+  let split, store, _, dplan, eng = steal_substrate opts g tree in
   let gr = Eng.graph eng in
   (* The DAG runtime's projection bookkeeping is single-threaded, and
      [Engine.run_steal] owns the whole schedule on this transport — so
@@ -990,10 +991,7 @@ let run_domains_steal opts g tree =
       while Pag_eval.Dag.force_stalled rt do
         ()
       done);
-  let node_frag = fragment_affinity split store in
-  let owner rid =
-    node_frag.(ESt.dense_index store (Eng.node_of eng rid)) mod m
-  in
+  let owner rid = fragment_of split eng rid mod m in
   (* One ring per domain (the shared engine's attached ring is not
      domain-safe); pids are domain ids, timestamps wall-clock relative to
      the run start. *)
@@ -1003,7 +1001,7 @@ let run_domains_steal opts g tree =
       Some (Array.init m (fun _ -> Prov.create ~arity ()))
     else None
   in
-  let fires, stats =
+  let _fires, stats =
     Eng.run_steal ~domains:m ~owner ~uid_base:Uid.stride ?prov:provs
       ~prov_clock:(fun () -> Unix.gettimeofday () -. t0)
       eng gr
@@ -1015,91 +1013,39 @@ let run_domains_steal opts g tree =
   Array.iteri
     (fun d st -> steal_metrics ctxs.(d + 1) ~idle:"steal.idle_spins" st)
     stats;
-  ignore fires;
   let worker_stats =
     Array.map
       (fun (st : Steal.stats) ->
         { Worker.zero_stats with ws_dynamic_rules = st.Steal.st_fired })
       stats
   in
-  let horizon = t1 -. t0 in
-  let machine_rows =
-    List.init (m + 1) (fun pid ->
-        {
-          Obs.Report.rm_pid = pid;
-          rm_name = machine_name ~fragments:m pid;
-          rm_active = (if pid = 0 then 0.0 else horizon);
-          rm_idle = (if pid = 0 then horizon else 0.0);
-          rm_util = (if pid = 0 then 0.0 else 1.0);
-          rm_sends = 0;
-          rm_max_queue = -1;
-        })
-  in
-  let metrics = merged_metrics ctxs in
-  let report =
-    build_report
-      ~label:(run_label opts ~transport:"domains")
-      ~clock:"wall clock" ~horizon ~machines:machine_rows ~worker_stats
-      ~messages:0 ~bytes:0 ~retransmits:0 ~metrics
-  in
-  let r_obs =
-    if opts.telemetry then Some (merge_recorders ctxs []) else None
-  in
-  {
-    r_attrs = ESt.root_attrs store;
-    r_time = t1 -. t0;
-    r_worker_stats = worker_stats;
-    r_trace = None;
-    r_messages = 0;
-    r_bytes = 0;
-    r_fragments = m;
-    r_split = split;
-    r_dynamic_fraction = 1.0;
-    r_retransmits = 0;
-    r_recovered = false;
-    r_fault_stats = None;
-    r_obs;
-    r_report = report;
-    r_prov =
+  assemble opts ~transport:"domains" ~ctxs ~split ~fragments:m ~worker_stats
+    ~attrs:(ESt.root_attrs store) ~time:(t1 -. t0)
+    ~prov:
       (match provs with
       | Some ps -> Array.to_list (Array.map (fun p -> (p, eng)) ps)
-      | None -> []);
-    r_tree = tree;
-  }
+      | None -> [])
+    (wall_outcome ~fragments:m ~pids:(m + 1) ~horizon:(t1 -. t0) worker_stats
+       None)
+    tree
 
-let run_domains_static opts g plan tree =
-  let split, nodes_by_id = prepare opts g tree in
-  (* Same collapse unit as the sim static path: the class-keyed memo. *)
-  let sharing = if opts.use_dag then Some (Tree.sharing tree) else None in
-  let nfrags = Split.count split in
-  let librarian_id = if opts.use_librarian then Some (nfrags + 1) else None in
-  let nmachines = nfrags + 2 in
-  let chans = Array.init nmachines (fun _ -> Chan.create ()) in
-  let faulty = Option.is_some opts.faults in
+let domains_backend opts _tree ~nfrags =
+  let n = nfrags + 2 in
+  let chans = Array.init n (fun _ -> Chan.create ()) in
   (* Crashed machines never start on the domains transport (crash times are
      a simulator notion); their mail is discarded unread. *)
-  let crashed = Array.make nmachines false in
-  (match opts.faults with
-  | Some sp ->
+  let crashed = Array.make n false in
+  Option.iter
+    (fun sp ->
       List.iter
-        (fun (m, _t) -> if m >= 0 && m < nmachines then crashed.(m) <- true)
-        sp.Faults.fs_crashes
-  | None -> ());
+        (fun (m, _t) -> if m >= 0 && m < n then crashed.(m) <- true)
+        sp.Faults.fs_crashes)
+    opts.faults;
   (* One fault injector and one reorder stash per machine: each is touched
      only by its owner's domain, keeping the PRNG streams race-free and
      per-sender deterministic. *)
-  let injectors =
-    match opts.faults with
-    | Some sp -> Array.init nmachines (fun _ -> Some (Faults.make sp))
-    | None -> Array.make nmachines None
-  in
-  let stashes = Array.init nmachines (fun _ -> ref None) in
-  let start = Unix.gettimeofday () in
-  let ctxs =
-    make_ctxs opts ~n:nmachines ~clock:(fun () -> Unix.gettimeofday () -. start)
-  in
-  let provs = make_provs opts g ~tree ~n:nmachines in
-  let prov_engs = Array.make nmachines None in
+  let injectors = Array.init n (fun _ -> Option.map Faults.make opts.faults) in
+  let stashes = Array.init n (fun _ -> ref None) in
   let send_from src ~dst m =
     if not crashed.(dst) then
       match injectors.(src) with
@@ -1121,167 +1067,60 @@ let run_domains_static opts g plan tree =
             | None -> ()
           end)
   in
-  let links = Mutex.create () in
-  let all_links = ref [] in
-  let machine_env id =
-    let obs = ctxs.(id) in
-    let raw =
-      {
-        Transport.e_id = id;
-        e_delay = (fun _ -> ());
-        e_send = (fun ~dst m -> send_from id ~dst m);
-        e_recv = (fun () -> Chan.pop chans.(id));
-        e_recv_timeout = (fun d -> Chan.pop_timeout chans.(id) d);
-        e_time = Unix.gettimeofday;
-        e_mark = (fun _ -> ());
-        e_flush = (fun () -> ());
-      }
-    in
-    let base, link =
-      if faulty then begin
-        let l = Reliable.wrap ~obs ~rto:dom_rto raw in
-        Mutex.lock links;
-        all_links := l :: !all_links;
-        Mutex.unlock links;
-        (Reliable.env l, Some l)
-      end
-      else (raw, None)
-    in
-    let env =
-      if opts.use_dag then Intern.env (Intern.wrap ~obs base) else base
-    in
-    (env, link, obs)
-  in
-  let t0 = Unix.gettimeofday () in
-  let worker_domains =
-    Array.map
-      (fun (f : Split.fragment) ->
-        let id = f.Split.fr_id in
-        if crashed.(id + 1) then None
-        else
-          Some
-            (Domain.spawn (fun () ->
-                 let env, _, wobs = machine_env (id + 1) in
-                 let cfg =
-                   { (worker_config opts g plan) with
-                     Worker.wc_librarian = librarian_id;
-                     wc_obs = wobs;
-                     wc_sharing = sharing;
-                     wc_prov = provs.(id + 1);
-                     wc_prov_dwell = false (* wall clock advances in-firing *);
-                     wc_engine_hook = (fun e -> prov_engs.(id + 1) <- Some e);
-                   }
-                 in
-                 Worker.run env cfg (make_task split f nodes_by_id))))
-      (Split.fragments split)
-  in
-  let librarian_domain =
-    match librarian_id with
-    | Some lid when not crashed.(lid) ->
-        Some
-          (Domain.spawn (fun () ->
-               let env, _, lobs = machine_env lid in
-               Librarian.run ~obs:lobs env ~coordinator:0))
-    | _ -> None
-  in
-  let coord_env, coord_link, coord_obs = machine_env 0 in
-  let recovery =
-    Option.map
-      (fun link ->
-        {
-          Coordinator.rc_link = link;
-          rc_kplan = plan;
-          rc_cost = opts.cost;
-          rc_watchdog = dom_watchdog;
-        })
-      coord_link
-  in
-  let attrs, recovered =
-    Coordinator.run ~obs:coord_obs ?recovery ?sharing coord_env g ~tree
-      ~plan:split ~librarian:librarian_id
-  in
-  let worker_stats =
-    collect_worker_stats ~faulty
-      (Array.map (Option.map Domain.join) worker_domains)
-  in
-  Option.iter (fun d -> ignore (Domain.join d)) librarian_domain;
-  let t1 = Unix.gettimeofday () in
-  let fault_stats =
-    if faulty then begin
-      let total = { Faults.st_dropped = 0; st_duplicated = 0; st_delayed = 0 } in
-      Array.iter
-        (function
-          | Some inj ->
-              let s = Faults.stats inj in
-              total.Faults.st_dropped <- total.Faults.st_dropped + s.Faults.st_dropped;
-              total.Faults.st_duplicated <-
-                total.Faults.st_duplicated + s.Faults.st_duplicated;
-              total.Faults.st_delayed <- total.Faults.st_delayed + s.Faults.st_delayed
-          | None -> ())
-        injectors;
-      Some total
-    end
-    else None
-  in
-  let horizon = t1 -. t0 in
-  (* No network trace on domains: worker idle-wait measurements stand in
-     for activity segments; parser and librarian utilization is unknown. *)
-  let machine_rows =
-    List.init
-      (nfrags + 1 + match librarian_id with Some _ -> 1 | None -> 0)
-      (fun pid ->
-        let active, idle, util, sends =
-          if pid >= 1 && pid <= nfrags then begin
-            let s = worker_stats.(pid - 1) in
-            let idle = Float.min horizon s.Worker.ws_idle_wait in
-            let active = Float.max 0.0 (horizon -. idle) in
-            ( active,
-              idle,
-              (if horizon > 0.0 then active /. horizon else 0.0),
-              s.Worker.ws_sends )
-          end
-          else (0.0, horizon, 0.0, 0)
-        in
-        {
-          Obs.Report.rm_pid = pid;
-          rm_name = machine_name ~fragments:nfrags pid;
-          rm_active = active;
-          rm_idle = idle;
-          rm_util = util;
-          rm_sends = sends;
-          rm_max_queue = -1;
-        })
-  in
-  let metrics = merged_metrics ctxs in
-  let report =
-    build_report
-      ~label:(run_label opts ~transport:"domains")
-      ~clock:"wall clock" ~horizon ~machines:machine_rows ~worker_stats
-      ~messages:0 ~bytes:0 ~retransmits:(sum_retransmits !all_links) ~metrics
-  in
-  let r_obs =
-    if opts.telemetry then Some (merge_recorders ctxs []) else None
-  in
+  let start = Unix.gettimeofday () in
+  let clock () = Unix.gettimeofday () -. start in
   {
-    r_attrs = attrs;
-    r_time = t1 -. t0;
-    r_worker_stats = worker_stats;
-    r_trace = None;
-    r_messages = 0;
-    r_bytes = 0;
-    r_fragments = nfrags;
-    r_split = split;
-    r_dynamic_fraction = dynamic_fraction worker_stats;
-    r_retransmits = sum_retransmits !all_links;
-    r_recovered = recovered;
-    r_fault_stats = fault_stats;
-    r_obs;
-    r_report = report;
-    r_prov = collect_prov opts provs prov_engs;
-    r_tree = tree;
+    bk_transport = "domains";
+    bk_env =
+      (fun id ->
+        {
+          Transport.e_id = id;
+          e_delay = (fun _ -> ());
+          e_send = (fun ~dst m -> send_from id ~dst m);
+          e_recv = (fun () -> Chan.pop chans.(id));
+          e_recv_timeout = (fun d -> Chan.pop_timeout chans.(id) d);
+          e_time = Unix.gettimeofday;
+          e_mark = (fun _ -> ());
+          e_flush = (fun () -> ());
+        });
+    bk_launch =
+      (fun bodies ->
+        let spawned =
+          List.filter_map
+            (fun (pid, body) ->
+              if pid = 0 || crashed.(pid) then None
+              else Some (Domain.spawn body))
+            bodies
+        in
+        List.iter (fun (pid, body) -> if pid = 0 then body ()) bodies;
+        List.iter Domain.join spawned);
+    bk_clock = clock;
+    bk_rto = dom_rto;
+    bk_max_tries = dom_max_tries;
+    bk_watchdog = dom_watchdog;
+    bk_prov_dwell = false (* wall clock advances in-firing *);
+    bk_finish =
+      (fun ~pids worker_stats ->
+        let sum f =
+          Array.fold_left
+            (fun a -> function Some i -> a + f (Faults.stats i) | None -> a)
+            0 injectors
+        in
+        let faults =
+          Option.map
+            (fun _ ->
+              {
+                Faults.st_dropped = sum (fun s -> s.Faults.st_dropped);
+                st_duplicated = sum (fun s -> s.Faults.st_duplicated);
+                st_delayed = sum (fun s -> s.Faults.st_delayed);
+              })
+            opts.faults
+        in
+        wall_outcome ~fragments:nfrags ~pids ~horizon:(clock ()) worker_stats
+          faults);
   }
 
 let run_domains opts g plan tree =
   match opts.schedule with
   | `Steal -> run_domains_steal opts g tree
-  | `Static | `Dynamic -> run_domains_static opts g plan tree
+  | `Static | `Dynamic -> run_protocol domains_backend opts g plan tree

@@ -7,7 +7,12 @@
 
     {!run_domains} executes the same protocol on OCaml 5 domains with
     in-memory message queues and reports wall-clock time: the modern
-    multicore counterpart of the paper's workstation network.
+    multicore counterpart of the paper's workstation network. Both run
+    the [`Static]/[`Dynamic] schedules through one protocol driver; only
+    the transport backend (environments, launch, clock, timeouts and the
+    post-run rows and wire totals) differs. [r_time] is the paper's
+    measurement: from evaluation start until the parser holds the root
+    attributes.
 
     With [machines = 1] the combined evaluator degenerates to the sequential
     static evaluator and the dynamic evaluator to the sequential dynamic
@@ -20,11 +25,11 @@ open Netsim
 
 type options = {
   machines : int;
-  mode : Worker.mode;
   schedule : [ `Static | `Dynamic | `Steal ];
       (** [`Static] (default) and [`Dynamic] run the paper's protocol —
-          fragment shipping plus per-fragment workers, with [mode]
-          selecting combined static/dynamic or all-dynamic evaluation.
+          fragment shipping plus per-fragment workers — with combined
+          static/dynamic evaluation ([`Static], which needs a Kastens
+          plan) or all-dynamic evaluation ([`Dynamic]).
           [`Steal] runs the work-stealing instance scheduler instead:
           per-machine Chase-Lev deques over the unified engine's flat
           rule-instance table, seeded by Split owner affinity, with

@@ -320,17 +320,6 @@ let submit sv name next =
 (* Edit application (both transports)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Apply one edit through the tenant's session, exactly as an isolated
-   {!Session.edit} would (diff, then replace/fallback). Returns the
-   incremental stats and the bytes the replacement ships on the wire. *)
-let apply_edit s next =
-  match Tree.diff (Incr.tree s) next with
-  | Tree.Equal -> (Incr.edit s next, 0)
-  | Tree.Root -> (Incr.edit s next, Tree.byte_size next)
-  | Tree.Subtree { parent; pos; repl } ->
-      let bytes = Tree.byte_size repl in
-      (Incr.replace s ~parent ~pos repl, bytes)
-
 (* Coordinator-only: the counters, reservoir and metrics registry are all
    unsynchronized plain state. The domains transport applies edits on
    worker domains but folds their latencies through here after joining. *)
@@ -347,14 +336,6 @@ let record_edit sv tn lat =
          (Obs.Metrics.labeled "service.latency_ms" (tenant_label tn)))
       (lat *. 1e3)
   end
-
-(* The owner's service time for one edit: rebuild of the shipped subtree
-   plus the whole propagation, priced like the session wave model. *)
-let owner_delay (st : Incr.edit_stats) ~bytes =
-  let cost = Cost.default in
-  (float_of_int bytes *. cost.Cost.rebuild_per_byte)
-  +. (float_of_int st.Incr.ed_dirty *. cost.Cost.build_node)
-  +. (float_of_int st.Incr.ed_refired *. Cost.rule_cost cost ~dynamic:true)
 
 (* Result message: the refreshed root synthesized attributes — changed
    ones in full, unchanged ones as fixed-size intern references. *)
@@ -488,12 +469,12 @@ let sim_edit sv k now tn (next, t_submit) =
   let s = revive sv tn in
   let now = if was_evicted then now +. revive_cost s else now in
   let edit_msg bytes = Message.size (Message.Edit { node = 0; bytes }) in
-  let st, bytes = apply_edit s next in
+  let _, st, bytes = Session.apply_edit s next in
   if st.Incr.ed_fallback then bump sv "service.fallbacks" (tenant_label tn) 1;
   let delivered =
     transmit_reliable sv tn ~src:0 ~dst:(k + 1) ~now ~size:(edit_msg bytes)
   in
-  let done_ = delivered +. owner_delay st ~bytes in
+  let done_ = delivered +. Session.owner_delay st ~bytes in
   let rsize = result_size sv s in
   let back =
     transmit_reliable sv tn ~src:(k + 1) ~dst:0 ~now:done_ ~size:rsize
@@ -672,7 +653,7 @@ let domains_apply sv batches =
       if batch <= 1 then
         Queue.fold
           (fun acc (next, t_submit) ->
-            let st, _ = apply_edit s next in
+            let _, st, _ = Session.apply_edit s next in
             let lat = Unix.gettimeofday () -. sv.sv_t0 -. t_submit in
             ( tn,
               [ Float.max 0.0 lat ],

@@ -8,7 +8,6 @@ open Netsim
 
 type spec = {
   sp_machines : int;
-  sp_mode : Worker.mode;
   sp_schedule : [ `Static | `Dynamic | `Steal ];
   sp_transport : [ `Sim | `Domains ];
   sp_granularity : float;
@@ -21,14 +20,12 @@ type spec = {
   sp_provenance : bool;
 }
 
-let spec ?(mode = `Combined) ?(schedule = `Static) ?(transport = `Sim)
+let spec ?(schedule = `Static) ?(transport = `Sim)
     ?(granularity = 1.0) ?(librarian = true) ?(priority = true)
     ?(dag = false) ?(telemetry = false) ?faults
     ?(phase_label = fun _ -> None) ?(provenance = false) machines =
   {
     sp_machines = machines;
-    (* the all-dynamic schedule is the classic protocol in dynamic mode *)
-    sp_mode = (if schedule = `Dynamic then `Dynamic else mode);
     sp_schedule = schedule;
     sp_transport = transport;
     sp_granularity = granularity;
@@ -45,7 +42,6 @@ let options s =
   {
     Runner.default_options with
     Runner.machines = s.sp_machines;
-    mode = s.sp_mode;
     schedule = s.sp_schedule;
     granularity = s.sp_granularity;
     use_librarian = s.sp_librarian;
@@ -357,19 +353,19 @@ let wave es ~owner_frag ~edit_node ~dispatch ~owner_delay ~rounds ~share_work
   in
   (ES.network sim, retransmits, !finish)
 
+let owner_delay (st : Incr.edit_stats) ~bytes =
+  let cost = Cost.default in
+  (float_of_int bytes *. cost.Cost.rebuild_per_byte)
+  +. (float_of_int st.Incr.ed_dirty *. cost.Cost.build_node)
+  +. (float_of_int st.Incr.ed_refired *. Cost.rule_cost cost ~dynamic:true)
+
 (* The per-edit wave: the owner pays the rebuild and the whole propagation
    (the model charges all re-fired rules to the edit's owner). *)
 let simulate es ~owner_frag ~edit_node ~bytes (st : Incr.edit_stats) =
-  let cost = Cost.default in
-  let owner_delay =
-    (float_of_int bytes *. cost.Cost.rebuild_per_byte)
-    +. (float_of_int st.Incr.ed_dirty *. cost.Cost.build_node)
-    +. float_of_int st.Incr.ed_refired
-       *. Cost.rule_cost cost ~dynamic:true
-  in
   let net, retransmits, finish =
-    wave es ~owner_frag ~edit_node ~dispatch:bytes ~owner_delay ~rounds:false
-      ~share_work:0.0 ~chunk_bytes:0
+    wave es ~owner_frag ~edit_node ~dispatch:bytes
+      ~owner_delay:(owner_delay st ~bytes) ~rounds:false ~share_work:0.0
+      ~chunk_bytes:0
   in
   let changed, total = census es in
   (* A from-scratch distributed recompile ships every fragment's subtree
@@ -530,18 +526,25 @@ let refresh_plan es =
     Split.decompose es.es_g (Incr.tree es.es_incr)
       ~machines:es.es_spec.sp_machines ~granularity:es.es_spec.sp_granularity
 
+let apply_edit incr next =
+  let delta = Tree.diff (Incr.tree incr) next in
+  let bytes =
+    match delta with
+    | Tree.Equal -> 0
+    | Tree.Root -> Tree.byte_size next
+    | Tree.Subtree { repl; _ } -> Tree.byte_size repl
+  in
+  (delta, Incr.apply incr next delta, bytes)
+
 let edit es next =
-  match Tree.diff (Incr.tree es.es_incr) next with
-  | Tree.Equal -> no_wave (Incr.edit es.es_incr next)
+  let delta, st, bytes = apply_edit es.es_incr next in
+  match delta with
+  | Tree.Equal -> no_wave st
   | Tree.Root ->
-      let st = Incr.edit es.es_incr next in
       refresh_plan es;
       let root = Incr.tree es.es_incr in
-      simulate es ~owner_frag:0 ~edit_node:root.Tree.id
-        ~bytes:(Tree.byte_size root) st
-  | Tree.Subtree { parent; pos; repl } ->
-      let bytes = Tree.byte_size repl in
-      let st = Incr.replace es.es_incr ~parent ~pos repl in
+      simulate es ~owner_frag:0 ~edit_node:root.Tree.id ~bytes st
+  | Tree.Subtree { parent; _ } ->
       refresh_plan es;
       let owner_frag =
         Option.value (Split.owner_of es.es_plan parent) ~default:0

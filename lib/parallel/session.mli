@@ -36,7 +36,6 @@ open Netsim
 
 type spec = {
   sp_machines : int;
-  sp_mode : Worker.mode;
   sp_schedule : [ `Static | `Dynamic | `Steal ];
   sp_transport : [ `Sim | `Domains ];
   sp_granularity : float;
@@ -57,12 +56,11 @@ type spec = {
 }
 
 (** [spec machines] with every knob defaulted as in
-    {!Runner.default_options}. [~schedule:`Dynamic] forces [mode] to
-    [`Dynamic] (they describe the same all-dynamic run of the classic
-    protocol); [~schedule:`Steal] selects the work-stealing instance
-    scheduler (see {!Runner.options}). *)
+    {!Runner.default_options}. [~schedule] picks combined static/dynamic
+    ([`Static]) or all-dynamic ([`Dynamic]) evaluation of the classic
+    protocol, or the work-stealing instance scheduler ([`Steal]; see
+    {!Runner.options}). *)
 val spec :
-  ?mode:Worker.mode ->
   ?schedule:[ `Static | `Dynamic | `Steal ] ->
   ?transport:[ `Sim | `Domains ] ->
   ?granularity:float ->
@@ -147,6 +145,19 @@ val prov : edit_session -> Pag_obs.Prov.t
     with an all-zero report; a root-level change falls back to a
     from-scratch rebuild and a fresh decomposition. *)
 val edit : edit_session -> Tree.t -> edit_report
+
+(** Virtual seconds the owner spends on one edit shipping [bytes]: the
+    rebuild plus every dirty node and re-fired rule. Edit waves and the
+    compile service both price edits with it. *)
+val owner_delay : Incr.edit_stats -> bytes:int -> float
+
+(** [apply_edit incr next] brings the incremental session to [next] with
+    one {!Tree.diff}. Returns the delta, the incremental stats and the
+    bytes the edit ships to its owner: nothing for [Equal], the whole tree
+    for [Root], the replacement for [Subtree]. {!edit} and the compile
+    service share it. *)
+val apply_edit :
+  Incr.session -> Tree.t -> Tree.delta * Incr.edit_stats * int
 
 (** Outcome of one {!edit_batch}: the {!Pag_eval.Incr.wave_stats} counters
     plus the batched wave's census. *)

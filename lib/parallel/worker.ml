@@ -25,7 +25,6 @@ type task = {
   t_root : Tree.t;
   t_cuts : (Tree.t * int) list;
   t_parent_machine : int;
-  t_root_is_tree_root : bool;
 }
 
 type stats = {
@@ -238,7 +237,7 @@ let run_protocol (env : Transport.env) cfg task =
   (* Receive items: inherited attrs of the fragment root (unless it is the
      whole tree's root), synthesized attrs of every stub. *)
   let root_sym = Grammar.symbol g task.t_root.Tree.sym in
-  if task.t_root_is_tree_root then
+  if task.t_frag_id = 0 then
     Array.iter
       (fun (a : Grammar.attr_decl) ->
         if a.a_kind = Grammar.Inh then

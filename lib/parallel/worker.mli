@@ -53,11 +53,10 @@ type config = {
 }
 
 type task = {
-  t_frag_id : int;
+  t_frag_id : int;  (** 0 is the fragment rooted at the tree's root *)
   t_root : Tree.t;  (** fragment root (shared tree, global node ids) *)
   t_cuts : (Tree.t * int) list;  (** stub node, machine evaluating it *)
   t_parent_machine : int;  (** destination of the fragment root's syn attrs *)
-  t_root_is_tree_root : bool;
 }
 
 type stats = {

@@ -416,11 +416,14 @@ let parallel_masked_asm ~transport ~schedule prog =
       phase_label = Pascal.Driver.phase_label;
     }
   in
-  let _, c =
+  let r, c =
     match transport with
     | `Sim -> Pascal.Driver.compile_parallel_sim o prog
     | `Domains -> Pascal.Driver.compile_parallel_domains o prog
   in
+  if schedule = `Dynamic then
+    check_bool "dynamic schedule runs all-dynamic" true
+      (r.Pag_parallel.Runner.r_dynamic_fraction = 1.0);
   Pascal.Driver.mask_labels c.Pascal.Driver.c_asm
 
 let test_dag_parallel_parity () =

@@ -4,11 +4,11 @@ open Pag_parallel
 let check_str = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
 
-let opts ?(mode = `Combined) ?(librarian = true) ?(priority = true) machines =
+let opts ?(schedule = `Static) ?(librarian = true) ?(priority = true) machines =
   {
     Runner.default_options with
     Runner.machines;
-    mode;
+    schedule;
     use_librarian = librarian;
     use_priority = priority;
     phase_label = Driver.phase_label;
@@ -53,7 +53,7 @@ let test_parallel_output_matches () =
 let test_parallel_dynamic_output () =
   let expected = Lazy.force sequential_output in
   for m = 1 to 3 do
-    let _, out = run_and_execute (opts ~mode:`Dynamic m) in
+    let _, out = run_and_execute (opts ~schedule:`Dynamic m) in
     check_str (Printf.sprintf "dynamic @ %d machines" m) expected out
   done
 

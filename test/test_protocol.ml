@@ -41,7 +41,6 @@ let simple_task () =
     t_root = tree;
     t_cuts = [];
     t_parent_machine = 0;
-    t_root_is_tree_root = true;
   }
 
 let env_of _sim id =
